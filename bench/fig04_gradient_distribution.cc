@@ -8,11 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/histogram.h"
 #include "ml/gradient.h"
 
 namespace {
@@ -48,9 +49,27 @@ int main() {
   std::printf("(paper's example range: [-0.353, 0.004], most values near "
               "zero)\n\n");
 
-  sketchml::common::Histogram hist(lo, hi, 20);
-  hist.AddAll(values);
-  std::printf("%s\n", hist.ToAscii(56).c_str());
+  // 20 equal-width bins over [lo, hi]; out-of-range values clamp to the
+  // edge bins. One row per bin, bars scaled to the fullest bin.
+  constexpr int kBins = 20;
+  constexpr int kBarWidth = 56;
+  const double bin_width = (hi - lo) / kBins;
+  std::vector<uint64_t> counts(kBins, 0);
+  for (double v : values) {
+    ++counts[std::clamp(static_cast<int>((v - lo) / bin_width), 0,
+                        kBins - 1)];
+  }
+  const uint64_t max_count =
+      std::max<uint64_t>(1, *std::max_element(counts.begin(), counts.end()));
+  for (int b = 0; b < kBins; ++b) {
+    const int bar = static_cast<int>(static_cast<double>(counts[b]) /
+                                     max_count * kBarWidth);
+    std::printf("[%+9.4f, %+9.4f) %10llu |%s\n", lo + b * bin_width,
+                lo + (b + 1) * bin_width,
+                static_cast<unsigned long long>(counts[b]),
+                std::string(bar, '#').c_str());
+  }
+  std::printf("\n");
 
   // Concentration statistics: the fraction of values within epsilon of 0.
   std::vector<double> magnitudes;

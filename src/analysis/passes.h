@@ -1,7 +1,8 @@
 #ifndef SKETCHML_ANALYSIS_PASSES_H_
 #define SKETCHML_ANALYSIS_PASSES_H_
 
-// The four cross-TU semantic passes behind tools/sketchml_analyze.
+// The passes behind tools/sketchml_analyze: four cross-TU semantic
+// passes over one project model, plus the per-file `lint` rules.
 //
 //   layering  — the include graph must respect the layer DAG
 //               (common -> sketch -> compress -> core -> ml -> dist ->
@@ -22,10 +23,16 @@
 //               common/ wrappers. NOLINT does not clear a finding here:
 //               a deterministic path that needs an exception must be
 //               baselined with a justification.
+//   lint      — per-line rules the compiler cannot express (discarded
+//               Status, banned randomness, wall-clock reads, stdout in
+//               libraries, include hygiene, naked new, raw SIMD, trace
+//               categories, NOLINT justification); see lint.cc. Its
+//               escape hatch is a justified `NOLINT(<rule>): <why>`.
 //
-// Intentional violations live in a checked-in baseline file (one
-// `<pass> <key> <justification>` line each); stale entries are findings
-// themselves so the escape hatch cannot rot.
+// Intentional semantic-pass violations live in a checked-in baseline file
+// (one `<pass> <key> <justification>` line each); stale entries are
+// findings themselves so the escape hatch cannot rot. Lint findings are
+// never baselined.
 
 #include <map>
 #include <string>
@@ -36,8 +43,8 @@
 namespace sketchml::analysis {
 
 struct Finding {
-  std::string pass;  // "layering", "wire", "names", or "replay".
-  std::string key;   // Stable, space-free baseline key.
+  std::string pass;  // "layering", "wire", "names", "replay", or "lint".
+  std::string key;   // Stable, space-free baseline key (lint: rule id).
   std::string file;  // Repo-relative path for display ("" for global).
   size_t line = 0;   // 1-based; 0 when not tied to a line.
   std::string message;
@@ -58,6 +65,7 @@ std::vector<Finding> RunNamesPass(const ProjectModel& model,
                                   const AnalyzeOptions& options);
 std::vector<Finding> RunReplayPass(const ProjectModel& model,
                                    const AnalyzeOptions& options);
+std::vector<Finding> RunLintPass(const ProjectModel& model);
 
 /// Baseline of intentional findings: (pass, key) -> justification.
 struct Baseline {

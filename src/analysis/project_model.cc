@@ -443,10 +443,7 @@ bool LoadProjectTree(const std::string& root,
       // the root, so only skip them when they are nested *below* the
       // scanned subdir — not when the root already points inside one.
       const std::string below = fs::relative(p, dir, ec).generic_string();
-      if (below.find("lint_fixtures") != std::string::npos ||
-          below.find("analysis_fixtures") != std::string::npos) {
-        continue;
-      }
+      if (below.find("analysis_fixtures") != std::string::npos) continue;
       const std::string ext = p.extension().string();
       if (ext == ".h" || ext == ".cc") paths.push_back(p);
     }

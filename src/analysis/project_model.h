@@ -3,12 +3,12 @@
 
 // Whole-project source model for cross-translation-unit analysis.
 //
-// `tools/sketchml_lint` reasons about one file at a time; the semantic
-// passes in `tools/sketchml_analyze` need properties no single TU can
-// show: the include graph (layering, cycles), matched serialize/
-// deserialize method pairs (wire-format symmetry), registration vs.
-// consumption of metric/trace name literals, and call-graph reachability
-// (replay purity). This model is the shared substrate: every scanned
+// The lint pass reasons about one file at a time; the semantic passes
+// in `tools/sketchml_analyze` need properties no single TU can show: the
+// include graph (layering, cycles), matched serialize/deserialize method
+// pairs (wire-format symmetry), registration vs. consumption of
+// metric/trace name literals, and call-graph reachability (replay
+// purity). This model is the shared substrate: every scanned
 // file stripped to code (see stripped_source.h), its quoted project
 // includes, and a heuristic function index — qualified name, owning
 // class, body line range, call sites, and string literals per function.
@@ -75,9 +75,9 @@ struct ProjectModel {
 void AddFileToModel(StrippedSource src, ProjectModel* model);
 
 /// Loads every .h/.cc under `root`/<subdir> for each subdir (links
-/// followed; paths containing "lint_fixtures" or "analysis_fixtures"
-/// *below* the scanned subdir are skipped, so a fixture tree can itself
-/// be the root) and builds the model. Returns false and sets `error`
+/// followed; paths containing "analysis_fixtures" *below* the scanned
+/// subdir are skipped, so a fixture tree can itself be the root) and
+/// builds the model. Returns false and sets `error`
 /// when a subdir exists but a file cannot be read; nonexistent subdirs
 /// are silently skipped so fixture trees can be partial.
 bool LoadProjectTree(const std::string& root,

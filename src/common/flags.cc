@@ -19,21 +19,17 @@ Result<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
       return Status::InvalidArgument("bare '--' is not a flag");
     }
     const size_t eq = body.find('=');
-    if (eq != std::string::npos) {
-      const std::string name = body.substr(0, eq);
-      if (name.empty()) {
-        return Status::InvalidArgument("flag with empty name: " + arg);
-      }
-      parser.values_[name] = body.substr(eq + 1);
+    if (eq == std::string::npos) {
+      // A bare `--name` is boolean true; it never takes the next token,
+      // which stays positional.
+      parser.values_[body] = "true";
       continue;
     }
-    // `--name value` when the next token is not itself a flag;
-    // otherwise boolean true.
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      parser.values_[body] = argv[++i];
-    } else {
-      parser.values_[body] = "true";
+    const std::string name = body.substr(0, eq);
+    if (name.empty()) {
+      return Status::InvalidArgument("flag with empty name: " + arg);
     }
+    parser.values_[name] = body.substr(eq + 1);
   }
   return parser;
 }

@@ -12,8 +12,9 @@ namespace sketchml::common {
 
 /// Minimal command-line flag parser for the tools and examples.
 ///
-/// Accepts `--name=value`, `--name value`, and bare `--name` (boolean
-/// true). Everything not starting with `--` is a positional argument.
+/// Accepts `--name=value` and bare `--name` (boolean true). Everything not
+/// starting with `--` is a positional argument, including a token that
+/// follows a bare flag.
 class FlagParser {
  public:
   /// Parses argv; fails on malformed flags (e.g. `--=x`).

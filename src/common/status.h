@@ -36,7 +36,7 @@ const char* StatusCodeToString(StatusCode code);
 /// a swallowed decode/validate failure cannot compile silently. A caller
 /// that genuinely cannot act on the error must say so explicitly via a
 /// `(void)` cast plus a `// NOLINT(sketchml-discarded-status)` comment
-/// justifying it (enforced by tools/sketchml_lint).
+/// justifying it (enforced by the lint pass of tools/sketchml_analyze).
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -831,70 +831,6 @@ std::string RenderDiff(const DiffResult& diff, const DiffOptions& options) {
   return out.str();
 }
 
-common::Result<TraceSummary> SummarizeTrace(std::string_view json_text) {
-  SKETCHML_ASSIGN_OR_RETURN(const JsonValue root,
-                            JsonValue::Parse(json_text));
-  if (!root.is_object()) {
-    return common::Status::InvalidArgument("trace root is not an object");
-  }
-  TraceSummary summary;
-  summary.dropped_events = root.NumberOr("droppedEvents", 0.0);
-  const JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return common::Status::InvalidArgument("trace has no traceEvents array");
-  }
-  std::map<std::pair<std::string, std::string>, TraceSummary::Row> rows;
-  for (const JsonValue& event : events->array_items()) {
-    if (event.StringOr("ph", "") != "X") continue;  // Skip metadata.
-    const std::string cat = event.StringOr("cat", "");
-    const std::string name = event.StringOr("name", "");
-    const double dur_us = event.NumberOr("dur", 0.0);
-    TraceSummary::Row& row = rows[{cat, name}];
-    row.category = cat;
-    row.name = name;
-    ++row.count;
-    row.total_us += dur_us;
-    row.max_us = std::max(row.max_us, dur_us);
-  }
-  summary.rows.reserve(rows.size());
-  for (auto& [key, row] : rows) summary.rows.push_back(std::move(row));
-  std::sort(summary.rows.begin(), summary.rows.end(),
-            [](const TraceSummary::Row& a, const TraceSummary::Row& b) {
-              return a.total_us > b.total_us;
-            });
-  return summary;
-}
-
-common::Result<TraceSummary> LoadTraceSummary(const std::string& path) {
-  SKETCHML_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
-  auto parsed = SummarizeTrace(text);
-  if (!parsed.ok()) {
-    return common::Status::InvalidArgument(path + ": " +
-                                           parsed.status().message());
-  }
-  return parsed;
-}
-
-std::string RenderTraceSummary(const TraceSummary& summary) {
-  std::ostringstream out;
-  out << "== trace span totals ==\n";
-  out << "       count      total         max  span\n";
-  for (const TraceSummary::Row& row : summary.rows) {
-    char buf[200];
-    std::snprintf(buf, sizeof(buf), "  %10llu  %9s  %10s  %s/%s\n",
-                  static_cast<unsigned long long>(row.count),
-                  FormatSeconds(row.total_us / 1e6).c_str(),
-                  FormatSeconds(row.max_us / 1e6).c_str(),
-                  row.category.c_str(), row.name.c_str());
-    out << buf;
-  }
-  if (summary.dropped_events > 0.0) {
-    out << "  dropped events: " << Format("%.0f", summary.dropped_events)
-        << " (timeline truncated)\n";
-  }
-  return out.str();
-}
-
 common::Result<std::string> SummarizeMetricsJsonl(std::string_view text) {
   std::ostringstream out;
   out << "== metrics dump ==\n";

@@ -14,11 +14,11 @@
 namespace sketchml::dist {
 
 /// Parsed form of the observability dumps (`*.series.jsonl` from
-/// MetricsSampler, `*.metrics.jsonl` snapshots, `*.trace.json` Chrome
-/// traces) plus the analyses `sketchml_report` runs over them: per-worker
-/// phase breakdown (the paper's Figure 9 view), per-epoch straggler
-/// summary, per-codec compression/recovery summary, and an A/B diff used
-/// as a bench-regression gate.
+/// MetricsSampler, `*.metrics.jsonl` snapshots; Chrome traces are read by
+/// dist/trace_analysis.h) plus the analyses `sketchml_report` runs over
+/// them: per-worker phase breakdown (the paper's Figure 9 view),
+/// per-epoch straggler summary, per-codec compression/recovery summary,
+/// and an A/B diff used as a bench-regression gate.
 
 /// Summary of one histogram inside a time-series sample (the sampler
 /// writes quantiles, not raw buckets).
@@ -323,24 +323,6 @@ struct DiffResult {
 DiffResult DiffRuns(const RunSeries& baseline, const RunSeries& candidate,
                     const DiffOptions& options);
 std::string RenderDiff(const DiffResult& diff, const DiffOptions& options);
-
-/// Aggregated view of a Chrome trace (`*.trace.json`): total/max span
-/// duration per (category, name), plus the dropped-events footer.
-struct TraceSummary {
-  struct Row {
-    std::string category;
-    std::string name;
-    uint64_t count = 0;
-    double total_us = 0.0;
-    double max_us = 0.0;
-  };
-  std::vector<Row> rows;  // Sorted by descending total_us.
-  double dropped_events = 0.0;
-};
-
-common::Result<TraceSummary> SummarizeTrace(std::string_view json_text);
-common::Result<TraceSummary> LoadTraceSummary(const std::string& path);
-std::string RenderTraceSummary(const TraceSummary& summary);
 
 /// Renders a `*.metrics.jsonl` snapshot dump as a sorted table.
 common::Result<std::string> SummarizeMetricsJsonl(std::string_view text);

@@ -236,6 +236,7 @@ common::Result<CriticalPathReport> AnalyzeTrace(const ParsedTrace& trace) {
   }
 
   std::map<std::string, uint64_t> by_category;
+  std::map<std::pair<std::string, std::string>, SpanTotal> totals;
   std::unordered_map<uint64_t, uint64_t> roots_per_trace;
   std::map<int, uint64_t> straggler_counts;
   std::vector<size_t> epoch_spans;
@@ -243,6 +244,10 @@ common::Result<CriticalPathReport> AnalyzeTrace(const ParsedTrace& trace) {
   for (size_t i = 0; i < trace.spans.size(); ++i) {
     const TraceSpanRecord& span = trace.spans[i];
     ++by_category[span.category];
+    SpanTotal& total = totals[{span.category, span.name}];
+    ++total.count;
+    total.total_us += span.dur_us;
+    total.max_us = std::max(total.max_us, span.dur_us);
     if (span.trace_id != 0) {
       if (span.parent_span_id == 0) {
         ++roots_per_trace[span.trace_id];
@@ -289,6 +294,15 @@ common::Result<CriticalPathReport> AnalyzeTrace(const ParsedTrace& trace) {
     if (roots > 1) ++report.multi_root_traces;
   }
   report.spans_by_category.assign(by_category.begin(), by_category.end());
+  for (auto& [key, total] : totals) {
+    total.category = key.first;
+    total.name = key.second;
+    report.span_totals.push_back(std::move(total));
+  }
+  std::stable_sort(report.span_totals.begin(), report.span_totals.end(),
+                   [](const SpanTotal& a, const SpanTotal& b) {
+                     return a.total_us > b.total_us;
+                   });
 
   // Wall attribution: partition each epoch span's duration exactly.
   for (size_t epoch_index : epoch_spans) {
@@ -372,6 +386,16 @@ std::string RenderCriticalPathReport(const CriticalPathReport& report) {
           << report.batches << " batches\n";
     }
   }
+  out << "== span totals (network spans: modeled time) ==\n";
+  out << "       count       total         max  span\n";
+  for (const SpanTotal& t : report.span_totals) {
+    char count[24];
+    std::snprintf(count, sizeof(count), "%10llu",
+                  static_cast<unsigned long long>(t.count));
+    out << "  " << count << "  " << FormatSeconds(t.total_us) << "  "
+        << FormatSeconds(t.max_us) << "  " << t.category << '/' << t.name
+        << '\n';
+  }
   if (report.dropped_events > 0) {
     out << "!! dropped events: " << report.dropped_events
         << " (timeline truncated; raise the trace ring capacity)\n";
@@ -428,6 +452,22 @@ std::string CriticalPathReportToJson(const CriticalPathReport& report) {
     first_straggler = false;
     out << "{\"worker\":" << s.worker << ",\"batches_bounded\":"
         << s.batches_bounded << '}';
+  }
+  out << ']';
+  AppendJsonKey(out, "span_totals", &first);
+  out << '[';
+  bool first_total = true;
+  for (const SpanTotal& t : report.span_totals) {
+    if (!first_total) out << ',';
+    first_total = false;
+    out << "{\"category\":\"" << t.category << "\",\"name\":\"" << t.name
+        << '"';
+    bool first_field = false;  // Fields follow "name".
+    AppendJsonNumber(out, "count", static_cast<double>(t.count),
+                     &first_field);
+    AppendJsonNumber(out, "total_us", t.total_us, &first_field);
+    AppendJsonNumber(out, "max_us", t.max_us, &first_field);
+    out << '}';
   }
   out << ']';
   out << "},\"dropped_events\":" << report.dropped_events << "}\n";

@@ -73,6 +73,16 @@ struct ModeledNetwork {
   double retry_us = 0.0;      // ("network", "retry"): backoff + resends.
 };
 
+/// Count and total/max duration of one (category, name) span kind. Wall
+/// time, except for "network" spans, which carry modeled durations.
+struct SpanTotal {
+  std::string category;
+  std::string name;
+  uint64_t count = 0;
+  double total_us = 0.0;
+  double max_us = 0.0;
+};
+
 /// How often each worker's push chain bounded a batch (its push span was
 /// the batch's latest-ending child — the straggler of that batch).
 struct StragglerRow {
@@ -106,6 +116,7 @@ struct CriticalPathReport {
   PhaseAttribution attribution;
   ModeledNetwork modeled;
   std::vector<StragglerRow> stragglers;  // Descending batches_bounded.
+  std::vector<SpanTotal> span_totals;    // Descending total_us.
 
   uint64_t dropped_events = 0;
 

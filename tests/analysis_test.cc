@@ -4,7 +4,9 @@
 // `<pass>_bad/` whose findings (and exit code 1) are pinned exactly, a
 // `<pass>_clean/` that must come back empty, plus trees exercising the
 // baseline escape hatch (suppression, staleness, malformed entries) and
-// the flag surface (--pass filter, --docs opt-out, --replay-entry).
+// the flag surface (--pass filter, --docs opt-out, --replay-entry). The
+// lint fixtures hold one `bad_<rule>.cc` / `good_<rule>.cc` pair per rule
+// under `lint_{bad,clean}/src/`, so the src/-only rules apply to them.
 // The tests shell out to the real binary so exit codes and output
 // format are pinned, not just the pass logic.
 //
@@ -13,6 +15,8 @@
 
 #include <array>
 #include <cstdio>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -156,6 +160,110 @@ TEST(AnalyzeTest, ReplayCustomEntryPoint) {
   ExpectFinding(run, "demo::WallClockDebugOnly");
 }
 
+// Lint findings are `file:line: [rule] message`; keep the `file:line:
+// [rule]` prefixes of the lines reporting on `file`.
+std::multiset<std::string> LintPrefixesFor(const AnalyzeRun& run,
+                                           const std::string& file) {
+  std::multiset<std::string> prefixes;
+  std::istringstream lines(run.output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(file + ":", 0) != 0) continue;
+    prefixes.insert(line.substr(0, line.find(']') + 1));
+  }
+  return prefixes;
+}
+
+struct ExpectedDiag {
+  int line;
+  const char* rule;
+};
+
+// `lint_bad/src/bad_<rule>.cc` must report exactly the expected (line,
+// rule) pairs — compared as a multiset, so a missing, extra or
+// duplicated diagnostic all fail — and `lint_clean/src/good_<rule>.cc`
+// (near-miss identifiers, justified NOLINT escapes) must report nothing.
+void ExpectLintRule(const std::string& rule,
+                    std::initializer_list<ExpectedDiag> expected) {
+  const std::string bad = "src/bad_" + rule + ".cc";
+  std::multiset<std::string> want;
+  for (const ExpectedDiag& diag : expected) {
+    want.insert(bad + ":" + std::to_string(diag.line) + ": [" + diag.rule +
+                "]");
+  }
+  const AnalyzeRun run = RunAnalyze(Root("lint_bad") + " --pass=lint");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_EQ(LintPrefixesFor(run, bad), want) << run.output;
+
+  const std::string good = "src/good_" + rule + ".cc";
+  const AnalyzeRun clean = RunAnalyze(Root("lint_clean") + " --pass=lint");
+  EXPECT_TRUE(LintPrefixesFor(clean, good).empty()) << clean.output;
+}
+
+TEST(LintTest, DiscardedStatus) {
+  ExpectLintRule("discarded_status", {{11, "sketchml-discarded-status"},
+                                      {12, "sketchml-discarded-status"}});
+}
+
+TEST(LintTest, BannedRandom) {
+  ExpectLintRule("banned_random", {{10, "sketchml-banned-random"},
+                                   {11, "sketchml-banned-random"},
+                                   {11, "sketchml-banned-random"}});
+}
+
+TEST(LintTest, Wallclock) {
+  ExpectLintRule("wallclock",
+                 {{8, "sketchml-wallclock"}, {9, "sketchml-wallclock"}});
+}
+
+TEST(LintTest, Stdout) {
+  ExpectLintRule("stdout", {{9, "sketchml-stdout"}, {10, "sketchml-stdout"}});
+}
+
+TEST(LintTest, IncludeHygiene) {
+  ExpectLintRule("include_hygiene", {{5, "sketchml-include-hygiene"},
+                                     {6, "sketchml-include-hygiene"}});
+}
+
+TEST(LintTest, NakedNew) {
+  ExpectLintRule("naked_new",
+                 {{11, "sketchml-naked-new"}, {13, "sketchml-naked-new"}});
+}
+
+TEST(LintTest, RawSimd) {
+  ExpectLintRule("raw_simd", {{3, "sketchml-raw-simd"},
+                              {8, "sketchml-raw-simd"},
+                              {10, "sketchml-raw-simd"}});
+}
+
+TEST(LintTest, TraceCategory) {
+  ExpectLintRule("trace_category", {{11, "sketchml-trace-category"},
+                                    {12, "sketchml-trace-category"},
+                                    {14, "sketchml-trace-category"},
+                                    {17, "sketchml-trace-category"}});
+}
+
+TEST(LintTest, NolintJustification) {
+  ExpectLintRule("nolint_justification",
+                 {{10, "sketchml-nolint-justification"},
+                  {11, "sketchml-nolint-justification"},
+                  {13, "sketchml-nolint-justification"},
+                  {15, "sketchml-nolint-justification"}});
+}
+
+// A tree scan skips tests/analysis_fixtures/, so the bad fixtures never
+// fail the tree-wide `lint` gate. lint_nested holds one banned-random
+// violation, but only below its own tests/analysis_fixtures/; its
+// src/scanned.cc is clean.
+TEST(LintTest, FixtureDirectorySkippedInScan) {
+  ExpectClean(Root("lint_nested") + " --pass=lint");
+}
+
+TEST(AnalyzeTest, LintCleanFixtures) {
+  // Near-miss identifiers and justified NOLINT escapes; clean under every
+  // pass, not just lint.
+  ExpectClean(Root("lint_clean"));
+}
+
 TEST(AnalyzeTest, PassFilterSkipsOtherPasses) {
   // wire_bad has wire findings only; a layering-only run is clean.
   ExpectClean(Root("wire_bad") + " --pass=layering");
@@ -164,7 +272,7 @@ TEST(AnalyzeTest, PassFilterSkipsOtherPasses) {
 TEST(AnalyzeTest, ListPasses) {
   const AnalyzeRun run = RunAnalyze("--list-passes");
   EXPECT_EQ(run.exit_code, 0);
-  for (const char* id : {"layering", "wire", "names", "replay"}) {
+  for (const char* id : {"layering", "wire", "names", "replay", "lint"}) {
     EXPECT_NE(run.output.find(id), std::string::npos) << run.output;
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace sketchml::common {
 namespace {
 
@@ -19,10 +22,12 @@ TEST(FlagParserTest, EqualsSyntax) {
   EXPECT_EQ(flags.GetInt("count", 0).value(), 42);
 }
 
+// Regression: a bare boolean flag must not swallow the positional
+// argument after it (`sketchml_trace --quiet run.trace.json`).
 TEST(FlagParserTest, SpaceSyntax) {
-  auto flags = Parse({"--name", "value", "--count", "7"});
-  EXPECT_EQ(flags.GetString("name", ""), "value");
-  EXPECT_EQ(flags.GetInt("count", 0).value(), 7);
+  auto flags = Parse({"--quiet", "file"});
+  EXPECT_TRUE(flags.GetBool("quiet", false));
+  EXPECT_EQ(flags.positional(), std::vector<std::string>{"file"});
 }
 
 TEST(FlagParserTest, BareFlagIsBooleanTrue) {

@@ -175,6 +175,80 @@ TEST(MinMaxSketchTest, DeserializeRejectsOverflowingShape) {
   EXPECT_TRUE(try_shape(2, 8).ok());
 }
 
+// -- Merge: elastic shard re-partitioning moves MinMax state by merging.
+
+std::vector<uint8_t> SerializedBytes(const MinMaxSketch& sketch) {
+  common::ByteWriter writer;
+  sketch.Serialize(&writer);
+  return writer.buffer();
+}
+
+// `count` seeded (key, value) pairs into a table small enough that keys
+// collide, so min-on-insert and min-on-merge both matter.
+MinMaxSketch StreamSketch(uint64_t stream_seed, int count) {
+  MinMaxSketch sketch(3, 64, /*seed=*/21);
+  common::Rng rng(stream_seed);
+  for (int i = 0; i < count; ++i) {
+    sketch.Insert(rng.NextUint64(),
+                  static_cast<uint8_t>(rng.NextBounded(200)));
+  }
+  return sketch;
+}
+
+TEST(MinMaxSketchTest, MergeIsCommutativeAndAssociative) {
+  const MinMaxSketch a = StreamSketch(1, 300);
+  const MinMaxSketch b = StreamSketch(2, 300);
+  const MinMaxSketch c = StreamSketch(3, 300);
+
+  MinMaxSketch ab = a;
+  ASSERT_TRUE(ab.Merge(b).ok());
+  MinMaxSketch ba = b;
+  ASSERT_TRUE(ba.Merge(a).ok());
+  EXPECT_EQ(SerializedBytes(ab), SerializedBytes(ba));
+  EXPECT_EQ(ab.NumInsertions(), ba.NumInsertions());
+  EXPECT_NE(SerializedBytes(ab), SerializedBytes(a));  // Merge did work.
+
+  MinMaxSketch ab_c = ab;
+  ASSERT_TRUE(ab_c.Merge(c).ok());
+  MinMaxSketch bc = b;
+  ASSERT_TRUE(bc.Merge(c).ok());
+  MinMaxSketch a_bc = a;
+  ASSERT_TRUE(a_bc.Merge(bc).ok());
+  EXPECT_EQ(SerializedBytes(ab_c), SerializedBytes(a_bc));
+  EXPECT_EQ(ab_c.NumInsertions(), 900u);
+  EXPECT_EQ(a_bc.NumInsertions(), 900u);
+}
+
+TEST(MinMaxSketchTest, SplitThenMergeEqualsWholeStream) {
+  MinMaxSketch whole(3, 64, /*seed=*/21);
+  std::vector<MinMaxSketch> shards(3, MinMaxSketch(3, 64, /*seed=*/21));
+  common::Rng rng(77);
+  for (int i = 0; i < 900; ++i) {
+    const uint64_t key = rng.NextUint64();
+    const auto value = static_cast<uint8_t>(rng.NextBounded(200));
+    whole.Insert(key, value);
+    shards[key % shards.size()].Insert(key, value);
+  }
+  MinMaxSketch merged = shards[0];
+  ASSERT_TRUE(merged.Merge(shards[1]).ok());
+  ASSERT_TRUE(merged.Merge(shards[2]).ok());
+  EXPECT_EQ(SerializedBytes(merged), SerializedBytes(whole));
+  EXPECT_EQ(merged.NumInsertions(), whole.NumInsertions());
+}
+
+TEST(MinMaxSketchTest, MergeRejectsMismatchedGeometryOrSeed) {
+  MinMaxSketch base = StreamSketch(5, 100);
+  const std::vector<uint8_t> before = SerializedBytes(base);
+  for (const MinMaxSketch& other :
+       {MinMaxSketch(4, 64, 21), MinMaxSketch(3, 65, 21),
+        MinMaxSketch(3, 64, 22)}) {
+    EXPECT_EQ(base.Merge(other).code(), common::StatusCode::kInvalidArgument);
+  }
+  // A rejected merge leaves the sketch untouched.
+  EXPECT_EQ(SerializedBytes(base), before);
+  EXPECT_EQ(base.NumInsertions(), 100u);
+}
+
 // Correctness rate (Appendix A.2, Eq. 2): the fraction of keys whose query
 // is exact matches the closed form within sampling noise.
 class MinMaxCorrectnessRateTest

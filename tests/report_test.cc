@@ -13,7 +13,6 @@
 #include "common/metrics_registry.h"
 #include "common/metrics_sampler.h"
 #include "common/obs.h"
-#include "common/trace.h"
 #include "core/codec_factory.h"
 #include "dist/stats.h"
 #include "dist/trainer.h"
@@ -617,44 +616,6 @@ TEST(RunReportTest, P99StragglerColumnsFromWorkerSketches) {
   const std::string mean_render = RenderRunReport(report, legacy);
   EXPECT_EQ(mean_render.find("p99-strag"), std::string::npos);
   EXPECT_NE(mean_render.find("straggler"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Trace summary.
-
-TEST(TraceSummaryTest, SummarizesChromeTraceWithDroppedFooter) {
-  const bool was_tracing = obs::TracingEnabled();
-  obs::SetTracingEnabled(true);
-  obs::TraceLog::Global().Reset();
-  {
-    obs::TraceSpan outer("trainer", "epoch");
-    obs::TraceSpan inner("codec", "encode/sketchml");
-  }
-  { obs::TraceSpan again("codec", "encode/sketchml"); }
-  std::ostringstream out;
-  obs::TraceLog::Global().WriteChromeTrace(out);
-  obs::TraceLog::Global().Reset();
-  obs::SetTracingEnabled(was_tracing);
-
-  auto summary = SummarizeTrace(out.str());
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_DOUBLE_EQ(summary->dropped_events, 0.0);
-  const TraceSummary::Row* encode_row = nullptr;
-  for (const auto& row : summary->rows) {
-    if (row.name == "encode/sketchml") encode_row = &row;
-  }
-  ASSERT_NE(encode_row, nullptr);
-  EXPECT_EQ(encode_row->category, "codec");
-  EXPECT_EQ(encode_row->count, 2u);
-  EXPECT_GT(encode_row->total_us, 0.0);
-  EXPECT_GE(encode_row->max_us, encode_row->total_us / 2.0);
-  EXPECT_NE(RenderTraceSummary(*summary).find("encode/sketchml"),
-            std::string::npos);
-}
-
-TEST(TraceSummaryTest, RejectsNonTraceJson) {
-  EXPECT_FALSE(SummarizeTrace("{}").ok());
-  EXPECT_FALSE(SummarizeTrace("not json").ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.h"
 #include "common/obs.h"
 #include "common/trace.h"
 #include "core/codec_factory.h"
@@ -87,6 +88,11 @@ TEST(TraceAnalysisTest, ParsesChromeTraceEventsArgsAndFooter) {
   EXPECT_EQ(span.parent_span_id, 8u);
   EXPECT_DOUBLE_EQ(span.ArgOr("worker", -1.0), 4.0);
   EXPECT_DOUBLE_EQ(span.ArgOr("missing", -1.0), -1.0);
+}
+
+TEST(TraceAnalysisTest, ParseRejectsNonTraceJson) {
+  EXPECT_FALSE(ParseChromeTrace("{}").ok());
+  EXPECT_FALSE(ParseChromeTrace("not json").ok());
 }
 
 TEST(TraceAnalysisTest, RejectsTracesWithoutAnEpochSpan) {
@@ -270,6 +276,44 @@ TEST(TraceAnalysisTest, TrainerTraceReconstructsEveryBatchRooted) {
     bounded += row.batches_bounded;
   }
   EXPECT_EQ(bounded, report->batches);
+}
+
+TEST(TraceAnalysisTest, SpanTotalsPerCategoryAndName) {
+  ScopedTracing scoped;
+  {
+    obs::TraceSpan outer("trainer", "epoch");
+    obs::TraceSpan inner("codec", "encode/sketchml");
+  }
+  { obs::TraceSpan again("codec", "encode/sketchml"); }
+  std::ostringstream out;
+  obs::TraceLog::Global().WriteChromeTrace(out);
+  auto trace = ParseChromeTrace(out.str());
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  auto report = AnalyzeTrace(*trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const SpanTotal* encode = nullptr;
+  for (const SpanTotal& total : report->span_totals) {
+    if (total.category == "codec" && total.name == "encode/sketchml") {
+      encode = &total;
+    }
+  }
+  ASSERT_NE(encode, nullptr);
+  EXPECT_EQ(encode->count, 2u);
+  EXPECT_GT(encode->total_us, 0.0);
+  EXPECT_GE(encode->max_us, encode->total_us / 2.0);
+  EXPECT_NE(RenderCriticalPathReport(*report).find("codec/encode/sketchml"),
+            std::string::npos);
+
+  // Totals are wall-clock facts: JSON "timing" carries them, "structural"
+  // (which the golden gate diffs exactly) never does.
+  auto json = common::JsonValue::Parse(CriticalPathReportToJson(*report));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("structural")->Find("span_totals"), nullptr);
+  const common::JsonValue* totals = json->Find("timing")->Find("span_totals");
+  ASSERT_NE(totals, nullptr);
+  ASSERT_TRUE(totals->is_array());
+  EXPECT_EQ(totals->array_items().size(), report->span_totals.size());
 }
 
 TEST(TraceAnalysisTest, SamplingRecordsEveryNthBatchTree) {

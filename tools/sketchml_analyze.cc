@@ -1,8 +1,8 @@
-// sketchml_analyze: whole-project semantic analysis for SketchML.
+// sketchml_analyze: the repo's static analyzer.
 //
-// Where tools/sketchml_lint checks per-line style rules one file at a
-// time, this tool builds a project model (src/analysis/project_model.h)
-// over src/ + tools/ and runs four cross-TU passes:
+// Builds a project model (src/analysis/project_model.h) over src/ +
+// tools/ and runs four cross-TU passes, then the per-file lint rules over
+// src/ + tests/ + tools/ + bench/:
 //
 //   layering   include graph respects the layer DAG; no include cycles
 //   wire       Serialize/SerializeTail/SaveState methods have matching
@@ -12,15 +12,19 @@
 //   replay     no wall-clock / ambient randomness reachable from the
 //              replay-critical entry points (trainer epoch loop, codec
 //              Encode/Decode, fault and membership oracles)
+//   lint       per-line rules (src/analysis/lint.cc), printed as
+//              `file:line: [rule-id] message`; a justified
+//              `NOLINT(rule-id): <why>` is their only escape hatch
 //
 // Usage: sketchml_analyze [--root=DIR] [--pass=ID] [--baseline=FILE]
 //                         [--replay-entry=SPEC]... [--docs=DIR]
 //                         [--list-passes] [--quiet]
 //
-// Intentional findings are recorded in the baseline file (default
-// <root>/tools/analysis_baseline.txt when present): one
+// Intentional semantic-pass findings are recorded in the baseline file
+// (default <root>/tools/analysis_baseline.txt when present): one
 // `<pass> <key> <justification>` line each. The baseline key for every
-// finding is printed with the diagnostic. Stale entries are findings.
+// such finding is printed with the diagnostic. Stale entries are
+// findings.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/config error.
 
@@ -43,7 +47,8 @@ using sketchml::analysis::Finding;
 using sketchml::analysis::ParseBaseline;
 using sketchml::analysis::ProjectModel;
 
-const char* const kPassIds[] = {"layering", "wire", "names", "replay"};
+const char* const kPassIds[] = {"layering", "wire", "names", "replay",
+                                "lint"};
 
 int Usage() {
   std::fprintf(
@@ -147,6 +152,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  size_t files_scanned = model.files.size();
   std::vector<Finding> findings;
   std::vector<std::string> passes_run;
   const auto want = [&](const char* id) {
@@ -176,18 +182,36 @@ int main(int argc, char** argv) {
       findings.push_back(std::move(f));
     }
   }
+  if (want("lint")) {
+    passes_run.push_back("lint");
+    ProjectModel lint_model;
+    if (!sketchml::analysis::LoadProjectTree(
+            root, {"src", "tests", "tools", "bench"}, &lint_model, &error)) {
+      std::fprintf(stderr, "sketchml_analyze: %s\n", error.c_str());
+      return 2;
+    }
+    files_scanned = lint_model.files.size();  // A superset of `model`.
+    for (Finding& f : sketchml::analysis::RunLintPass(lint_model)) {
+      findings.push_back(std::move(f));
+    }
+  }
 
   findings = ApplyBaseline(std::move(findings), baseline, passes_run);
   for (const Finding& f : findings) {
     const std::string where =
         f.file.empty() ? "(project)"
                        : f.file + ":" + std::to_string(f.line);
+    if (f.pass == "lint") {  // Keyed by rule id; NOLINT, not the baseline.
+      std::printf("%s: [%s] %s\n", where.c_str(), f.key.c_str(),
+                  f.message.c_str());
+      continue;
+    }
     std::printf("%s: [%s] %s (baseline key: %s)\n", where.c_str(),
                 f.pass.c_str(), f.message.c_str(), f.key.c_str());
   }
   if (!quiet) {
     std::fprintf(stderr, "sketchml_analyze: %zu file(s), %zu finding(s)\n",
-                 model.files.size(), findings.size());
+                 files_scanned, findings.size());
   }
   return findings.empty() ? 0 : 1;
 }

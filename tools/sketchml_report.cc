@@ -5,9 +5,9 @@
 //       straggler summary, per-codec compression ratio and recovery
 //       error, from a --series-out time-series.
 //
-//   sketchml_report --trace=run.trace.json --metrics=run.metrics.jsonl
-//       span totals from a Chrome trace and/or a metrics snapshot table;
-//       combinable with a series file.
+//   sketchml_report --metrics=run.metrics.jsonl
+//       metrics snapshot table; combinable with a series file. (Chrome
+//       traces are analyzed by sketchml_trace.)
 //
 //   sketchml_report --baseline=a.series.jsonl --candidate=b.series.jsonl
 //       A/B regression gate: flags every metric whose relative change
@@ -33,7 +33,6 @@ constexpr char kUsage[] = R"(sketchml_report [flags] [series.jsonl]
   SERIES.JSONL          time-series from sketchml_train --series-out:
                         prints phase totals, per-worker/server breakdown,
                         per-codec compression, per-epoch stragglers
-  --trace=PATH          summarize a Chrome trace (*.trace.json)
   --metrics=PATH        print a metrics snapshot (*.metrics.jsonl)
   --baseline=PATH       A/B mode: baseline series file
   --candidate=PATH      A/B mode: candidate series file
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
 
   const std::string baseline_path = flags.GetString("baseline", "");
   const std::string candidate_path = flags.GetString("candidate", "");
-  const std::string trace_path = flags.GetString("trace", "");
   const std::string metrics_path = flags.GetString("metrics", "");
   auto threshold = flags.GetDouble("threshold", 0.25);
   if (!threshold.ok()) return Fail(threshold.status());
@@ -102,14 +100,6 @@ int main(int argc, char** argv) {
     std::printf("%s", dist::RenderRunReport(dist::BuildRunReport(*series),
                                             render_options)
                           .c_str());
-    did_anything = true;
-  }
-
-  if (!trace_path.empty()) {
-    auto summary = dist::LoadTraceSummary(trace_path);
-    if (!summary.ok()) return Fail(summary.status());
-    if (did_anything) std::printf("\n");
-    std::printf("%s", dist::RenderTraceSummary(*summary).c_str());
     did_anything = true;
   }
 
@@ -153,7 +143,7 @@ int main(int argc, char** argv) {
 
   if (!did_anything) {
     return Fail(common::Status::InvalidArgument(
-        "nothing to do: give a series file, --trace/--metrics, or "
+        "nothing to do: give a series file, --metrics, or "
         "--baseline/--candidate"));
   }
   return 0;

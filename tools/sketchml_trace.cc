@@ -6,8 +6,8 @@
 //       critical path, and prints the Fig-11-style breakdown: wall time
 //       attributed to {compute, encode, decode, aggregate, update,
 //       other}, modeled network/retry time, straggler attribution
-//       (which worker's push chain bounded each batch), and retry
-//       amplification.
+//       (which worker's push chain bounded each batch), retry
+//       amplification, and count/total/max per (category, name) span.
 //
 //   sketchml_trace run.trace.json --json=report.json
 //       additionally writes the report as JSON with separate
