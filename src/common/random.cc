@@ -1,5 +1,7 @@
 #include "common/random.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -70,6 +72,7 @@ bool Rng::NextBernoulli(double p) {
 
 ZipfSampler::ZipfSampler(uint64_t n, double alpha) : n_(n), alpha_(alpha) {
   SKETCHML_CHECK_GT(n, 0u);
+  SKETCHML_CHECK_LE(n, uint64_t{1} << 32);  // guide_ holds uint32 indices.
   SKETCHML_CHECK_GT(alpha, 0.0);
   cdf_.resize(n);
   double total = 0.0;
@@ -78,12 +81,25 @@ ZipfSampler::ZipfSampler(uint64_t n, double alpha) : n_(n), alpha_(alpha) {
     cdf_[i] = total;
   }
   for (auto& c : cdf_) c /= total;
+
+  const uint64_t k = std::bit_ceil(n);
+  cuts_ = static_cast<double>(k);
+  guide_.resize(k + 1);
+  uint64_t i = 0;
+  for (uint64_t j = 0; j <= k; ++j) {
+    const double cut = static_cast<double>(j) / cuts_;  // Exact: K = 2^k.
+    while (i < n - 1 && cdf_[i] < cut) ++i;
+    guide_[j] = static_cast<uint32_t>(i);
+  }
 }
 
-uint64_t ZipfSampler::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  // Binary search for the first CDF entry >= u.
-  uint64_t lo = 0, hi = n_ - 1;
+uint64_t ZipfSampler::SampleAt(double u) const {
+  SKETCHML_DCHECK(u >= 0.0 && u < 1.0);
+  // u lies in [j/K, (j+1)/K), so its answer lies in [guide_[j],
+  // guide_[j+1]]: no entry before the first one >= j/K can be >= u, and
+  // the first one >= (j+1)/K already is. Bisect only that span.
+  const uint64_t j = static_cast<uint64_t>(u * cuts_);
+  uint64_t lo = guide_[j], hi = guide_[j + 1];
   while (lo < hi) {
     const uint64_t mid = lo + (hi - lo) / 2;
     if (cdf_[mid] < u) {
@@ -93,6 +109,19 @@ uint64_t ZipfSampler::Sample(Rng& rng) const {
     }
   }
   return lo;
+}
+
+bool ZipfSampler::CanSample(uint64_t rank) const {
+  SKETCHML_CHECK_LT(rank, n_);
+  if (rank == 0) return true;  // u = 0 maps to rank 0.
+  // NextDouble returns m * 2^-53 for m in [0, 2^53). `rank` is drawn iff
+  // such a u exists with cdf_[rank-1] < u <= cdf_[rank] (no upper bound
+  // for the last rank); test the largest candidate.
+  constexpr double kGrid = 0x1.0p53;
+  const double top_m =
+      rank + 1 == n_ ? kGrid - 1
+                     : std::min(std::floor(cdf_[rank] * kGrid), kGrid - 1);
+  return top_m / kGrid > cdf_[rank - 1];
 }
 
 }  // namespace sketchml::common

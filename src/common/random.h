@@ -66,13 +66,28 @@ inline uint64_t LaneSeed(uint64_t base, uint64_t lane) {
 /// Samples from a Zipf distribution over `{0, ..., n-1}` with exponent
 /// `alpha` (> 0). Item 0 is the most popular. Used to synthesize the
 /// power-law feature popularity of KDD-style sparse datasets.
+///
+/// Inversion sampling: a uniform `u` maps to the first CDF entry `>= u`.
+/// A guide table of `K = bit_ceil(n)` cut points narrows that search to
+/// the entries between `guide[floor(u*K)]` and the next cut, so a draw
+/// touches a few adjacent CDF entries instead of bisecting all of them,
+/// and still returns exactly the index a full bisection would.
 class ZipfSampler {
  public:
-  /// Precomputes the CDF; O(n) memory. `n` must be positive.
+  /// Precomputes the CDF and guide table; O(n) memory. `n` must be in
+  /// `[1, 2^32]`.
   ZipfSampler(uint64_t n, double alpha);
 
-  /// Draws one sample using `rng`.
-  uint64_t Sample(Rng& rng) const;
+  /// Draws one sample using `rng` (one `NextDouble`).
+  uint64_t Sample(Rng& rng) const { return SampleAt(rng.NextDouble()); }
+
+  /// The sample for uniform `u` in `[0, 1)`: the first index whose CDF
+  /// entry is `>= u`, or `n-1` if none is.
+  uint64_t SampleAt(double u) const;
+
+  /// True when some value `Rng::NextDouble` can return maps to `rank`.
+  /// Ranks whose probability rounds away in the CDF are never drawn.
+  bool CanSample(uint64_t rank) const;
 
   uint64_t n() const { return n_; }
   double alpha() const { return alpha_; }
@@ -80,7 +95,11 @@ class ZipfSampler {
  private:
   uint64_t n_;
   double alpha_;
+  double cuts_;  // K as a double; `u * cuts_` is exact since K = 2^k.
   std::vector<double> cdf_;
+  // guide_[j] is the first index with cdf_ >= j/K, clamped to n-1;
+  // K+1 entries so guide_[j+1] exists for every j < K.
+  std::vector<uint32_t> guide_;
 };
 
 }  // namespace sketchml::common

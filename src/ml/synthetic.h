@@ -29,6 +29,9 @@ struct SyntheticConfig {
 };
 
 /// Generates a dataset per `config`. Deterministic for a fixed seed.
+/// `dim` must be in `[1, 2^32]`. A row never holds more distinct
+/// features than the generator can emit, so an `avg_nnz` near or above
+/// `dim` yields rows holding all of them.
 Dataset GenerateSynthetic(const SyntheticConfig& config);
 
 /// Named presets scaled down from Table 1, preserving each dataset's

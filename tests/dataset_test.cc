@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "ml/synthetic.h"
 #include "ml/types.h"
 
@@ -77,9 +82,104 @@ TEST(SyntheticTest, DeterministicForFixedSeed) {
   Dataset b = GenerateSynthetic(config);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.instances()[i].label, b.instances()[i].label);
-    ASSERT_EQ(a.instances()[i].features.size(),
-              b.instances()[i].features.size());
+    const Instance& x = a.instances()[i];
+    const Instance& y = b.instances()[i];
+    EXPECT_EQ(x.label, y.label);
+    ASSERT_EQ(x.features.size(), y.features.size());
+    for (size_t f = 0; f < x.features.size(); ++f) {
+      EXPECT_EQ(x.features[f].index, y.features[f].index);
+      EXPECT_EQ(x.features[f].value, y.features[f].value);
+    }
+  }
+}
+
+// FNV-1a over every label's bytes and every feature's index and value
+// bytes, each folded little-endian so the digest is host-independent.
+uint64_t ContentDigest(const Dataset& data) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto fold = [&h](uint64_t bits, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (bits >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& inst : data.instances()) {
+    fold(std::bit_cast<uint64_t>(inst.label), 8);
+    fold(inst.features.size(), 8);
+    for (const auto& f : inst.features) {
+      fold(f.index, 4);
+      fold(std::bit_cast<uint32_t>(f.value), 4);
+    }
+  }
+  return h;
+}
+
+// Pins the generator's exact output. Every golden downstream (regression,
+// SLO, trace, churn and fault gates, wire CRCs) trains on these datasets,
+// so a generator change that moves any byte must fail here first.
+TEST(SyntheticTest, ContentDigestIsPinned) {
+  struct Case {
+    const char* name;
+    SyntheticConfig config;
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+  const std::pair<const char*, uint64_t> presets[] = {
+      {"kdd10", 0x9756230c1cae1061ULL},
+      {"kdd12", 0x62056468761c0f58ULL},
+      {"ctr", 0xd17511b772e31a6aULL}};
+  for (const auto& [preset, digest] : presets) {
+    SyntheticConfig config = PresetFor(preset);
+    config.num_instances = 2000;
+    cases.push_back({preset, config, digest});
+  }
+  SyntheticConfig regression;
+  regression.num_instances = 2000;
+  regression.dim = 1 << 14;
+  regression.regression = true;
+  regression.seed = 7;
+  cases.push_back({"regression", regression, 0xd48b667889c09aabULL});
+  SyntheticConfig odd_dim;
+  odd_dim.num_instances = 2000;
+  odd_dim.dim = 100003;
+  odd_dim.seed = 2;
+  cases.push_back({"odd_dim", odd_dim, 0x69f71812060e11f8ULL});
+
+  for (const Case& c : cases) {
+    const uint64_t digest = ContentDigest(GenerateSynthetic(c.config));
+    EXPECT_EQ(digest, c.digest) << c.name << " digest 0x" << std::hex
+                                << digest;
+  }
+}
+
+// Rows asking for more distinct features than the generator can emit are
+// clamped to all of them instead of drawing forever, so every row is the
+// same set. That set is every feature when the rank shuffle is a
+// bijection (dim a power of two: all 16), fewer when it is not (dim 3
+// maps onto 2 ids) or when ranks' mass rounds away (alpha 60 leaves only
+// rank 0).
+TEST(SyntheticTest, NnzAboveDimTerminates) {
+  struct Case {
+    uint64_t dim;
+    double zipf_alpha;
+    size_t row_size;
+  };
+  const Case cases[] = {{16, 1.1, 16}, {3, 1.1, 2}, {16, 60.0, 1}};
+  for (const Case& c : cases) {
+    SyntheticConfig config;
+    config.num_instances = 200;
+    config.dim = c.dim;
+    config.avg_nnz = 40;
+    config.zipf_alpha = c.zipf_alpha;
+    const Dataset data = GenerateSynthetic(config);
+    const auto& first = data.instances()[0].features;
+    ASSERT_EQ(first.size(), c.row_size) << "dim " << c.dim;
+    for (const auto& inst : data.instances()) {
+      ASSERT_EQ(inst.features.size(), first.size());
+      for (size_t f = 0; f < first.size(); ++f) {
+        EXPECT_EQ(inst.features[f].index, first[f].index);
+      }
+    }
   }
 }
 
