@@ -30,6 +30,15 @@ constexpr uint64_t kShardSketchSeed = 0x5ad5ad5ad5ad5ad5ULL;
 constexpr int kShardKeyRows = 3;
 constexpr int kShardKeyCols = 1024;
 
+/// Empty per-shard mergeable state. The value sketch is telemetry
+/// internal, excluded from the sketch/kll/* self-metrics like the obs
+/// layer's own sketches.
+sketch::KllSketch EmptyShardValues() {
+  sketch::KllSketch values(/*k=*/256, kShardSketchSeed);
+  values.SetInstrumented(false);
+  return values;
+}
+
 /// Log2-magnitude bucket of a gradient value for the shard key cache
 /// (MinMaxSketch stores one byte per key; bucket 0 = tiniest/zero).
 uint8_t MagnitudeBucket(double value) {
@@ -43,7 +52,121 @@ uint8_t MagnitudeBucket(double value) {
   return static_cast<uint8_t>(std::clamp(bucket, 0, 254));
 }
 
+/// Rejects knobs that would train on garbage: a NaN or out-of-range
+/// batch ratio reaches a double -> size_t cast (undefined behaviour),
+/// and a non-finite step or regularizer poisons every weight.
+common::Status ValidateTrainerConfig(const TrainerConfig& config) {
+  const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  const char* bad = nullptr;
+  if (!(config.batch_ratio > 0.0 && config.batch_ratio <= 1.0)) {
+    bad = "batch_ratio must be in (0, 1]";
+  } else if (!positive(config.learning_rate)) {
+    bad = "learning_rate must be finite and > 0";
+  } else if (!(std::isfinite(config.lambda) && config.lambda >= 0.0)) {
+    bad = "lambda must be finite and >= 0";
+  } else if (config.use_adam && !positive(config.adam_epsilon)) {
+    bad = "adam_epsilon must be finite and > 0";
+  }
+  return bad == nullptr ? common::Status::Ok()
+                        : common::Status::InvalidArgument(
+                              std::string("TrainerConfig.") + bad);
+}
+
+/// The metric registries behind an on/off switch. Off, every Get*
+/// returns an inert handle that ignores Add/Set/Record, so publishing
+/// code needs no enable flags and an off feature registers no names.
+struct Registrar {
+  bool on;
+  obs::Counter GetCounter(std::string_view base,
+                          const obs::MetricLabels& labels = {}) const {
+    return on ? obs::MetricsRegistry::Global().GetCounter(base, labels)
+              : obs::Counter();
+  }
+  obs::Gauge GetGauge(std::string_view base) const {
+    return on ? obs::MetricsRegistry::Global().GetGauge(base, {})
+              : obs::Gauge();
+  }
+  obs::SketchHistogram Get(std::string_view base,
+                           const obs::MetricLabels& labels = {}) const {
+    return on ? obs::SketchHistogramRegistry::Global().Get(base, labels)
+              : obs::SketchHistogram();
+  }
+};
+
+/// Recovery error: codecs keep keys exact, so walk the sorted sent and
+/// decoded lists in lockstep and accumulate |sent - got| and |sent|.
+void AccumulateRecovery(const common::SparseGradient& sent,
+                        const common::SparseGradient& got, double* error_l1,
+                        double* ref_l1) {
+  size_t j = 0;
+  for (const auto& pair : sent) {
+    while (j < got.size() && got[j].key < pair.key) ++j;
+    const double value =
+        (j < got.size() && got[j].key == pair.key) ? got[j].value : 0.0;
+    *error_l1 += std::abs(value - pair.value);
+    *ref_l1 += std::abs(pair.value);
+  }
+}
+
+/// Runs fn(0) .. fn(count - 1) as pool tasks (inline without a pool or
+/// with a single task) and returns the results in index order.
+template <typename Fn>
+auto MapTasks(common::ThreadPool* pool, size_t count, const Fn& fn) {
+  using T = decltype(fn(size_t{0}));
+  std::vector<T> results(count);
+  if (pool == nullptr || count <= 1) {
+    for (size_t i = 0; i < count; ++i) results[i] = fn(i);
+    return results;
+  }
+  std::vector<common::TaskFuture<T>> futures(count);
+  for (size_t i = 0; i < count; ++i) {
+    futures[i] = pool->Submit([&fn, i] { return fn(i); });
+  }
+  for (size_t i = 0; i < count; ++i) results[i] = futures[i].Get();
+  return results;
+}
+
 }  // namespace
+
+/// One executor's share of a batch. The worker stage fills it on
+/// whatever thread runs the task; the reduce stage reads it in fixed
+/// worker order. Tasks share no mutable state: worker w's codec is its
+/// own forked seed lane, so results are bit-identical at any thread
+/// count.
+struct DistributedTrainer::WorkerResult {
+  int worker = 0;  // Id in the membership universe (keys metric slots).
+  common::Status status;
+  common::SparseGradient decoded;   // Decoded pairs, in shard order.
+  std::vector<size_t> shard_bytes;  // Wire bytes per server shard.
+  // Decode seconds attributed to each server shard; lets the driver
+  // publish per-server slices.
+  std::vector<double> shard_decode_seconds;
+  // Modeled seconds on each server's gather link, including every
+  // retransmit attempt and backoff wait.
+  std::vector<double> shard_link_seconds;
+  size_t nnz = 0;
+  double compute_seconds = 0.0;
+  double encode_seconds = 0.0;
+  // L1 distance between this worker's sent gradient and what the server
+  // decoded, plus the sent gradient's own L1 (the denominator for a
+  // relative recovery error). Only filled when metrics are on; read-only
+  // over the same values either way, so the byte stream and losses are
+  // bit-identical with metrics on or off.
+  double recovery_error_l1 = 0.0;
+  double recovery_ref_l1 = 0.0;
+  // Fault accounting (all zero / contributes=true when the plan is
+  // inactive). A worker contributes to the batch aggregate only if it
+  // did not crash and every non-empty shard message was delivered.
+  bool crashed = false;
+  bool straggled = false;
+  bool contributes = true;
+  uint64_t injected_drops = 0;
+  uint64_t injected_corruptions = 0;
+  uint64_t retries = 0;
+  uint64_t retransmit_bytes = 0;
+  uint64_t lost = 0;
+  double retry_seconds = 0.0;  // Backoff + retransmit link time.
+};
 
 common::Status ValidateClusterConfig(const ClusterConfig& cluster) {
   if (cluster.num_workers < 1) {
@@ -115,11 +238,10 @@ DistributedTrainer::DistributedTrainer(
   // constructor cannot return a Status); skip the remaining setup so a
   // bad NetworkModel never reaches TransferSeconds.
   init_status_ = ValidateClusterConfig(cluster_);
+  if (init_status_.ok()) init_status_ = ValidateTrainerConfig(config_);
   if (!init_status_.ok()) return;
   faults_active_ = cluster_.faults.Active();
   membership_active_ = cluster_.membership.Active();
-  checkpoints_enabled_ = cluster_.membership.CheckpointsEnabled();
-  initial_workers_ = cluster_.num_workers;
   // The directory exists on both paths: with an inactive plan it pins
   // the identity fleet 0..num_workers-1 forever, so directory_.active()
   // is always the list of worker ids a batch partitions over.
@@ -127,17 +249,11 @@ DistributedTrainer::DistributedTrainer(
   active_servers_ = cluster_.num_servers;
   if (membership_active_) {
     ring_.Rebuild(active_servers_);
-    // Per-shard mergeable state (see the header): telemetry-internal
-    // sketches, excluded from the sketch/kll/* self-metrics like the
-    // obs layer's own sketches.
-    shard_values_.reserve(cluster_.num_servers);
-    shard_keys_.reserve(cluster_.num_servers);
-    for (int s = 0; s < cluster_.num_servers; ++s) {
-      shard_values_.emplace_back(/*k=*/256, /*seed=*/kShardSketchSeed);
-      shard_values_.back().SetInstrumented(false);
-      shard_keys_.emplace_back(kShardKeyRows, kShardKeyCols,
-                               kShardSketchSeed);
-    }
+    // Per-shard mergeable state (see the header).
+    shard_values_.assign(cluster_.num_servers, EmptyShardValues());
+    shard_keys_.assign(cluster_.num_servers,
+                       sketch::MinMaxSketch(kShardKeyRows, kShardKeyCols,
+                                            kShardSketchSeed));
   }
   if (codec_ == nullptr) {
     codec_ = std::make_unique<compress::RawCodec>();
@@ -178,144 +294,640 @@ DistributedTrainer::DistributedTrainer(
     for (auto& codec : worker_codecs_) codec->SetThreadPool(pool_.get());
     codec_->SetThreadPool(pool_.get());
   }
+  RegisterMetrics(fleet);
+}
 
-  if (obs::MetricsEnabled()) {
-    metrics_.enabled = true;
-    auto& registry = obs::MetricsRegistry::Global();
-    for (int w = 0; w < fleet; ++w) {
-      const std::string ws = std::to_string(w);
-      metrics_.worker_compute.push_back(registry.GetCounter(
-          "trainer/worker_seconds", {{"worker", ws}, {"phase", "compute"}}));
-      metrics_.worker_encode.push_back(registry.GetCounter(
-          "trainer/worker_seconds", {{"worker", ws}, {"phase", "encode"}}));
-      metrics_.worker_recovery_err.push_back(
-          registry.GetCounter("trainer/recovery_error_l1", {{"worker", ws}}));
-      metrics_.worker_recovery_ref.push_back(
-          registry.GetCounter("trainer/recovery_ref_l1", {{"worker", ws}}));
-    }
-    for (int s = 0; s < cluster_.num_servers; ++s) {
-      const std::string ss = std::to_string(s);
-      metrics_.server_decode.push_back(registry.GetCounter(
-          "trainer/server_seconds", {{"server", ss}, {"phase", "decode"}}));
-      metrics_.server_gather.push_back(registry.GetCounter(
-          "trainer/server_seconds", {{"server", ss}, {"phase", "gather"}}));
-      metrics_.server_bytes.push_back(
-          registry.GetCounter("trainer/gather_bytes", {{"server", ss}}));
-    }
-    metrics_.driver_encode =
-        registry.GetCounter("trainer/driver_seconds", {{"phase", "encode"}});
-    metrics_.driver_decode =
-        registry.GetCounter("trainer/driver_seconds", {{"phase", "decode"}});
-    metrics_.driver_update =
-        registry.GetCounter("trainer/driver_seconds", {{"phase", "update"}});
-    metrics_.driver_network =
-        registry.GetCounter("trainer/driver_seconds", {{"phase", "network"}});
+void DistributedTrainer::RegisterMetrics(int fleet) {
+  // Every handle vector spans the fleet either way; names register only
+  // while the feature that publishes them is on. A fault-free (churn-free,
+  // checkpoint-free) run thus registers no fault (membership, checkpoint)
+  // names, keeping its dump and series files bit-identical to a build
+  // without that layer.
+  metrics_on_ = obs::MetricsEnabled();
+  const Registrar on{metrics_on_};
+  for (int w = 0; w < fleet; ++w) {
+    const std::string ws = std::to_string(w);
+    metrics_.worker_compute.push_back(on.GetCounter(
+        "trainer/worker_seconds", {{"worker", ws}, {"phase", "compute"}}));
+    metrics_.worker_encode.push_back(on.GetCounter(
+        "trainer/worker_seconds", {{"worker", ws}, {"phase", "encode"}}));
+    metrics_.worker_recovery_err.push_back(
+        on.GetCounter("trainer/recovery_error_l1", {{"worker", ws}}));
+    metrics_.worker_recovery_ref.push_back(
+        on.GetCounter("trainer/recovery_ref_l1", {{"worker", ws}}));
+  }
+  for (int s = 0; s < cluster_.num_servers; ++s) {
+    const std::string ss = std::to_string(s);
+    metrics_.server_decode.push_back(on.GetCounter(
+        "trainer/server_seconds", {{"server", ss}, {"phase", "decode"}}));
+    metrics_.server_gather.push_back(on.GetCounter(
+        "trainer/server_seconds", {{"server", ss}, {"phase", "gather"}}));
+    metrics_.server_bytes.push_back(
+        on.GetCounter("trainer/gather_bytes", {{"server", ss}}));
+  }
+  metrics_.driver_encode =
+      on.GetCounter("trainer/driver_seconds", {{"phase", "encode"}});
+  metrics_.driver_decode =
+      on.GetCounter("trainer/driver_seconds", {{"phase", "decode"}});
+  metrics_.driver_update =
+      on.GetCounter("trainer/driver_seconds", {{"phase", "update"}});
+  metrics_.driver_network =
+      on.GetCounter("trainer/driver_seconds", {{"phase", "network"}});
 
-    // Sketch-native latency telemetry: per-worker KLL-backed sketches
-    // plus the cluster-wide slots the driver merges them into at every
-    // epoch boundary. See SketchTelemetry in the header.
-    sketch_metrics_.enabled = true;
-    auto& sketches = obs::SketchHistogramRegistry::Global();
-    for (int w = 0; w < fleet; ++w) {
-      const std::string ws = std::to_string(w);
-      sketch_metrics_.worker_compute.push_back(sketches.Get(
-          "trainer/compute_latency_seconds", {{"worker", ws}}));
-      sketch_metrics_.worker_encode.push_back(
-          sketches.Get("trainer/encode_latency_seconds", {{"worker", ws}}));
-      sketch_metrics_.worker_push.push_back(
-          sketches.Get("trainer/push_modeled_seconds", {{"worker", ws}}));
+  // Sketch-native latency telemetry: per-worker KLL-backed sketches plus
+  // the cluster-wide slots the driver merges them into at every epoch
+  // boundary. See SketchTelemetry in the header.
+  for (int w = 0; w < fleet; ++w) {
+    const obs::MetricLabels worker = {{"worker", std::to_string(w)}};
+    sketch_metrics_.compute.workers.push_back(
+        on.Get("trainer/compute_latency_seconds", worker));
+    sketch_metrics_.encode.workers.push_back(
+        on.Get("trainer/encode_latency_seconds", worker));
+    sketch_metrics_.push.workers.push_back(
+        on.Get("trainer/push_modeled_seconds", worker));
+  }
+  sketch_metrics_.compute.cluster = on.Get("trainer/compute_latency_seconds");
+  sketch_metrics_.encode.cluster = on.Get("trainer/encode_latency_seconds");
+  sketch_metrics_.push.cluster = on.Get("trainer/push_modeled_seconds");
+  sketch_metrics_.merges = on.GetCounter("telemetry/merges");
+  sketch_metrics_.merge_bytes = on.GetCounter("telemetry/merge_bytes");
+
+  const Registrar faults{metrics_on_ && faults_active_};
+  for (int w = 0; w < fleet; ++w) {
+    const std::string ws = std::to_string(w);
+    const auto injected = [&](const char* kind) {
+      return faults.GetCounter("fault/injected",
+                               {{"kind", kind}, {"worker", ws}});
+    };
+    fault_metrics_.injected_drop.push_back(injected("drop"));
+    fault_metrics_.injected_corrupt.push_back(injected("corrupt"));
+    fault_metrics_.injected_straggle.push_back(injected("straggle"));
+    fault_metrics_.injected_crash.push_back(injected("crash"));
+    fault_metrics_.retries.push_back(
+        faults.GetCounter("net/retries", {{"worker", ws}}));
+    fault_metrics_.retransmit_bytes.push_back(
+        faults.GetCounter("net/retransmit_bytes", {{"worker", ws}}));
+  }
+  for (int s = 0; s < cluster_.num_servers; ++s) {
+    fault_metrics_.injected_stall.push_back(faults.GetCounter(
+        "fault/injected", {{"kind", "stall"}, {"server", std::to_string(s)}}));
+  }
+  fault_metrics_.lost_messages = faults.GetCounter("net/lost_messages");
+  fault_metrics_.quorum = faults.GetGauge("trainer/quorum");
+
+  const Registrar churn{metrics_on_ && membership_active_};
+  auto& m = membership_metrics_;
+  m.joins = churn.GetCounter("membership/events", {{"kind", "join"}});
+  m.leaves = churn.GetCounter("membership/events", {{"kind", "leave"}});
+  m.departs = churn.GetCounter("membership/events", {{"kind", "depart"}});
+  m.handoff_bytes = churn.GetCounter("membership/handoff_bytes");
+  m.sync_bytes = churn.GetCounter("membership/sync_bytes");
+  m.reconfigurations = churn.GetCounter("membership/reconfigurations");
+  m.active_workers = churn.GetGauge("membership/active_workers");
+  m.active_servers = churn.GetGauge("membership/active_servers");
+  const Registrar checkpoints{metrics_on_ &&
+                              cluster_.membership.CheckpointsEnabled()};
+  m.rollbacks = checkpoints.GetCounter("membership/rollbacks");
+  m.checkpoint_bytes = checkpoints.GetCounter("membership/checkpoint_bytes");
+}
+
+std::vector<common::SparseGradient> DistributedTrainer::SplitByShard(
+    common::SparseGradient grad) const {
+  const int servers = cluster_.num_servers;
+  std::vector<common::SparseGradient> shards(servers);
+  if (servers == 1) {
+    shards[0] = std::move(grad);
+    return shards;
+  }
+  // Owning shard of a key: the consistent-hash ring while the membership
+  // layer is active (shards come and go, see ReconfigureShards), else the
+  // key-range partition, so churn-off byte streams stay bit-identical to
+  // the fixed-fleet trainer.
+  const uint64_t dim = std::max<uint64_t>(1, train_->dim());
+  const auto shard_of = [&](uint64_t key) {
+    if (membership_active_) return ring_.ShardOf(key);
+    return static_cast<int>(key * static_cast<uint64_t>(servers) / dim);
+  };
+  // A single pass: keys are sorted and shard ranges are contiguous.
+  const size_t hint = grad.size() / static_cast<size_t>(servers) + 1;
+  for (auto& piece : shards) piece.reserve(hint);
+  for (const auto& pair : grad) {
+    const int dest = shard_of(pair.key);
+    // A key >= dim would compute a shard past the last server and
+    // corrupt the neighbouring vector silently.
+    SKETCHML_DCHECK_GE(dest, 0);
+    SKETCHML_DCHECK_LT(dest, servers)
+        << "gradient key " << pair.key << " outside model dim " << dim;
+    shards[dest].push_back(pair);
+  }
+  return shards;
+}
+
+std::vector<DistributedTrainer::WorkerResult> DistributedTrainer::RunWorkers(
+    size_t batch_start, size_t batch_end, const obs::SpanContext& batch_ctx) {
+  // Slice i of the batch belongs to worker ids[i]: RunWorker takes the
+  // *worker id* (it keys fault decisions and picks the codec seed lane),
+  // while ranges/results stay slice-indexed. With membership off
+  // ids[i] == i and this is the fixed-fleet partition.
+  const std::vector<int>& ids = directory_.active();
+  const size_t workers = ids.size();
+  const size_t slice =
+      std::max<size_t>(1, (batch_end - batch_start + workers - 1) / workers);
+  std::vector<std::pair<size_t, size_t>> ranges;
+  for (size_t i = 0; i < workers; ++i) {
+    const size_t lo = batch_start + i * slice;
+    if (lo >= batch_end) break;
+    ranges.emplace_back(lo, std::min(batch_end, lo + slice));
+  }
+  // Slice 0 always exists: the batch is non-empty and workers >= 1.
+  SKETCHML_DCHECK(!ranges.empty());
+  return MapTasks(pool_.get(), ranges.size(), [&](size_t i) {
+    return RunWorker(ids[i], ranges[i].first, ranges[i].second, batch_ctx);
+  });
+}
+
+DistributedTrainer::WorkerResult DistributedTrainer::RunWorker(
+    int w, size_t lo, size_t hi, const obs::SpanContext& batch_ctx) {
+  const int servers = cluster_.num_servers;
+  const uint64_t gbatch = batches_run_;
+  WorkerResult r;
+  r.worker = w;
+  r.shard_bytes.assign(servers, 0);
+  r.shard_decode_seconds.assign(servers, 0.0);
+  r.shard_link_seconds.assign(servers, 0.0);
+  if (faults_active_ && injector_.WorkerCrashed(gbatch, w)) {
+    // Crash-for-k-batches: the executor is down, computes nothing and
+    // sends nothing. It rejoins via the (fault-free) weight broadcast.
+    r.crashed = true;
+    r.contributes = false;
+    return r;
+  }
+  const double straggle =
+      faults_active_ ? injector_.StraggleFactor(gbatch, w) : 1.0;
+  r.straggled = straggle > 1.0;
+  compress::GradientCodec* codec = WorkerCodec(w);
+  // Cross-thread hand-off: this task may run on a pool thread, so adopt
+  // the batch's context and open this worker's push span under it. Inner
+  // spans (compute below, the codec's encode/decode, the modeled transfer
+  // attempts) then chain off the push span through the thread-local
+  // context stack.
+  obs::TraceContextScope batch_scope(batch_ctx);
+  std::optional<obs::TraceSpan> push_span;
+  if (batch_ctx.valid()) {
+    push_span.emplace("trainer", "push");
+    push_span->Arg("worker", static_cast<double>(w));
+    push_span->Arg("batch", static_cast<double>(gbatch));
+  }
+  common::Stopwatch watch;
+  common::SparseGradient grad;
+  {
+    std::optional<obs::TraceSpan> span;
+    if (batch_ctx.valid()) {
+      span.emplace("trainer", "compute");
+      span->Arg("worker", static_cast<double>(w));
     }
-    sketch_metrics_.cluster_compute =
-        sketches.Get("trainer/compute_latency_seconds");
-    sketch_metrics_.cluster_encode =
-        sketches.Get("trainer/encode_latency_seconds");
-    sketch_metrics_.cluster_push = sketches.Get("trainer/push_modeled_seconds");
-    sketch_metrics_.merges = registry.GetCounter("telemetry/merges");
-    sketch_metrics_.merge_bytes = registry.GetCounter("telemetry/merge_bytes");
+    grad = ml::ComputeBatchGradient(*loss_, optimizer_->weights(), *train_,
+                                    lo, hi, config_.lambda);
+  }
+  r.compute_seconds = watch.Restart() * straggle;
+  r.nnz = grad.size();
+
+  // Split by server shard, then encode one message per non-empty shard
+  // and deliver it to the server that owns the shard.
+  const std::vector<common::SparseGradient> per_shard =
+      SplitByShard(std::move(grad));
+  for (int s = 0; s < servers; ++s) {
+    if (per_shard[s].empty()) continue;
+    watch.Restart();
+    compress::EncodedGradient msg;
+    r.status = codec->Encode(per_shard[s], &msg);
+    if (!r.status.ok()) return r;
+    r.encode_seconds += watch.Restart() * straggle;
+    r.status = DeliverShard(s, msg, per_shard[s], batch_ctx.valid(), &r);
+    if (!r.status.ok()) return r;
+  }
+  return r;
+}
+
+common::Status DistributedTrainer::DeliverShard(
+    int s, const compress::EncodedGradient& msg,
+    const common::SparseGradient& sent, bool traced, WorkerResult* r) {
+  // One delivery loop for both paths. With the fault plan inactive it is
+  // the null retry policy: one attempt of the bare message, no framing,
+  // no copy, no injector draws. Active, the CRC-framed bytes cross the
+  // wire and every attempt may be dropped or corrupted; decisions are
+  // pure functions of (seed, batch, worker, server, attempt), so the
+  // sequence is replayable and independent of thread interleaving.
+  const int w = r->worker;
+  const uint64_t gbatch = batches_run_;
+  compress::GradientCodec* codec = WorkerCodec(w);
+  std::vector<uint8_t> framed;
+  if (faults_active_) common::FrameMessage(msg.bytes, &framed);
+  // What an intact attempt carries, and how the server takes it in: the
+  // bare message decoded as is, or the frame validated before decoding.
+  const std::vector<uint8_t>& intact = faults_active_ ? framed : msg.bytes;
+  auto receive = [&](const std::vector<uint8_t>& wire,
+                     common::SparseGradient* out) -> common::Status {
+    if (!faults_active_) return codec->Decode(msg, out);
+    compress::EncodedGradient payload;
+    SKETCHML_RETURN_IF_ERROR(common::UnframeMessage(wire, &payload.bytes));
+    return codec->Decode(payload, out);
+  };
+  const size_t wire_bytes = intact.size();
+  const double transfer = cluster_.network.TransferSeconds(wire_bytes);
+  const int attempts = faults_active_ ? injector_.plan().max_retries + 1 : 1;
+  r->shard_bytes[s] = wire_bytes;
+  common::Stopwatch watch;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    // Every attempt charges one transfer to this shard's gather link;
+    // each retry first waits out an exponential backoff.
+    const double backoff =
+        attempt > 0 ? injector_.BackoffSeconds(attempt) : 0.0;
+    if (attempt > 0) {
+      ++r->retries;
+      r->retransmit_bytes += wire_bytes;
+      r->retry_seconds += backoff + transfer;
+    }
+    r->shard_link_seconds[s] += transfer;
+    r->shard_link_seconds[s] += backoff;
+    if (traced) {
+      // Modeled wire time of this attempt, one span per attempt so retry
+      // amplification is visible in the tree.
+      obs::EmitSpan("network", "transfer", obs::NowNs(),
+                    static_cast<uint64_t>((transfer + backoff) * 1e9),
+                    {{"attempt", static_cast<double>(attempt)},
+                     {"bytes", static_cast<double>(wire_bytes)}});
+    }
+    if (faults_active_ && injector_.ShouldDrop(gbatch, w, s, attempt)) {
+      ++r->injected_drops;
+      continue;  // Vanished in flight; the sender times out, resends.
+    }
+    // A mangled attempt carries its own damaged copy of the frame. The
+    // copy may be truncated to zero bytes, so the draw, not the copy's
+    // size, says which bytes arrive.
+    const bool mangled =
+        faults_active_ && injector_.ShouldCorrupt(gbatch, w, s, attempt);
+    std::vector<uint8_t> corrupted;
+    if (mangled) {
+      ++r->injected_corruptions;
+      corrupted = framed;
+      injector_.Corrupt(&corrupted, gbatch, w, s, attempt);
+    }
+    // Server side: validate the frame, then decode the payload. A
+    // detected corruption is NACKed and retried; the CPU spent detecting
+    // it is charged to decode like any delivered message. Servers decode
+    // in parallel: approximate with the sum over the shards that own keys.
+    watch.Restart();
+    common::SparseGradient decoded;
+    const common::Status received =
+        receive(mangled ? corrupted : intact, &decoded);
+    r->shard_decode_seconds[s] += watch.Restart() / active_servers_;
+    if (!received.ok()) {
+      // Nothing corrupts a message under the null policy, so a failed
+      // decode there is a codec error, not a retryable NACK.
+      if (!faults_active_) return received;
+      continue;
+    }
+    if (metrics_on_) {
+      AccumulateRecovery(sent, decoded, &r->recovery_error_l1,
+                         &r->recovery_ref_l1);
+    }
+    r->decoded.insert(r->decoded.end(), decoded.begin(), decoded.end());
+    return common::Status::Ok();
+  }
+  // Retry budget exhausted: the sender's final timeout closes the
+  // exchange and the driver drops this worker from the batch.
+  const double timeout = injector_.BackoffSeconds(attempts);
+  r->shard_link_seconds[s] += timeout;
+  r->retry_seconds += timeout;
+  ++r->lost;
+  r->contributes = false;
+  return common::Status::Ok();
+}
+
+common::Result<int> DistributedTrainer::ReduceResults(
+    const std::vector<WorkerResult>& results, uint64_t* total_nnz,
+    EpochStats* stats) {
+  // Fixed worker order, so every accumulated stat is independent of
+  // execution interleaving. Returns the count of contributing workers.
+  const int servers = cluster_.num_servers;
+  const int workers = static_cast<int>(results.size());
+  int contributing = 0;
+  double compute_sum = 0.0, encode_sum = 0.0, decode_sum = 0.0;
+  double retry_seconds = 0.0;
+  std::vector<double> gather(servers, 0.0);
+  const EpochStats before = *stats;  // Batch totals are the deltas.
+  for (const WorkerResult& r : results) {
+    SKETCHML_RETURN_IF_ERROR(r.status);
+    if (r.contributes) ++contributing;
+    *total_nnz += r.nnz;
+    compute_sum += r.compute_seconds;
+    encode_sum += r.encode_seconds;
+    stats->injected_faults += r.injected_drops + r.injected_corruptions +
+                              (r.straggled ? 1 : 0) + (r.crashed ? 1 : 0);
+    stats->retries += r.retries;
+    stats->retransmit_bytes += r.retransmit_bytes;
+    stats->lost_messages += r.lost;
+    retry_seconds += r.retry_seconds;
+    double push_seconds = 0.0;  // The worker's total modeled link time.
+    for (int s = 0; s < servers; ++s) {
+      if (r.shard_bytes[s] == 0) continue;
+      ++stats->messages;
+      stats->bytes_up += r.shard_bytes[s];
+      gather[s] += r.shard_link_seconds[s];
+      push_seconds += r.shard_link_seconds[s];
+      decode_sum += r.shard_decode_seconds[s];
+      metrics_.server_decode[s].Add(r.shard_decode_seconds[s] *
+                                    cluster_.codec_scale);
+      metrics_.server_bytes[s].Add(static_cast<double>(r.shard_bytes[s]));
+    }
+    // Per-entity metrics, published here rather than from worker threads
+    // (single writer, so snapshots are identical across --threads) with
+    // the scale factors EpochStats uses, so labeled slices reconcile with
+    // the aggregates exactly. Per-worker slots are indexed by the
+    // worker's id in the membership universe, not its slice position.
+    const int w = r.worker;
+    const double compute =
+        r.compute_seconds / workers * cluster_.compute_scale;
+    const double encode = r.encode_seconds / workers * cluster_.codec_scale;
+    metrics_.worker_compute[w].Add(compute);
+    metrics_.worker_encode[w].Add(encode);
+    sketch_metrics_.compute.workers[w].Record(compute);
+    sketch_metrics_.encode.workers[w].Record(encode);
+    sketch_metrics_.push.workers[w].Record(push_seconds);
+    metrics_.worker_recovery_err[w].Add(r.recovery_error_l1);
+    metrics_.worker_recovery_ref[w].Add(r.recovery_ref_l1);
+    fault_metrics_.injected_drop[w].Add(static_cast<double>(r.injected_drops));
+    fault_metrics_.injected_corrupt[w].Add(
+        static_cast<double>(r.injected_corruptions));
+    if (r.straggled) fault_metrics_.injected_straggle[w].Increment();
+    if (r.crashed) fault_metrics_.injected_crash[w].Increment();
+    fault_metrics_.retries[w].Add(static_cast<double>(r.retries));
+    fault_metrics_.retransmit_bytes[w].Add(
+        static_cast<double>(r.retransmit_bytes));
+    fault_metrics_.lost_messages.Add(static_cast<double>(r.lost));
+  }
+  if (faults_active_) {
+    // Server-shard stalls: a stalled server delays the gather in flight
+    // on its link (no effect on a link with no traffic this batch).
+    for (int s = 0; s < servers; ++s) {
+      if (gather[s] > 0.0 && injector_.ServerStalled(batches_run_, s)) {
+        gather[s] += cluster_.faults.stall_seconds;
+        ++stats->injected_faults;
+        fault_metrics_.injected_stall[s].Increment();
+      }
+    }
+    // Recovery decision: enough whole gradients survived to apply the
+    // batch? Below min_quorum the epoch fails with a typed status; a
+    // partial-but-quorate batch is applied degraded (the aggregate is
+    // rescaled to the mean of the survivors).
+    if (contributing < cluster_.faults.min_quorum) {
+      return common::Status::Unavailable(
+          "quorum failure at batch " + std::to_string(batches_run_) + ": " +
+          std::to_string(contributing) + " of " + std::to_string(workers) +
+          " workers delivered (min_quorum=" +
+          std::to_string(cluster_.faults.min_quorum) + ")");
+    }
+  }
+  if (contributing < workers) ++stats->degraded_batches;
+  fault_metrics_.quorum.Set(static_cast<double>(contributing));
+  if (obs::TracingEnabled() && retry_seconds > 0.0) {
+    // Modeled recovery time (retransmits + backoff), same convention as
+    // the "gather" span below. The batch span is still open on this
+    // thread, so the analyzer can charge retry amplification to its
+    // batch.
+    obs::EmitSpan("network", "retry", obs::NowNs(),
+                  static_cast<uint64_t>(retry_seconds * 1e9),
+                  {{"attempt", static_cast<double>(stats->retries -
+                                                   before.retries)},
+                   {"bytes", static_cast<double>(stats->retransmit_bytes -
+                                                 before.retransmit_bytes)}});
   }
 
-  // Fault counters exist only when the plan is active: a fault-free run
-  // must register no new metric names, keeping its dump and series files
-  // bit-identical to a build without the fault layer.
-  if (faults_active_ && obs::MetricsEnabled()) {
-    fault_metrics_.enabled = true;
-    auto& registry = obs::MetricsRegistry::Global();
-    for (int w = 0; w < fleet; ++w) {
-      const std::string ws = std::to_string(w);
-      fault_metrics_.injected_drop.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "drop"}, {"worker", ws}}));
-      fault_metrics_.injected_corrupt.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "corrupt"}, {"worker", ws}}));
-      fault_metrics_.injected_straggle.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "straggle"}, {"worker", ws}}));
-      fault_metrics_.injected_crash.push_back(registry.GetCounter(
-          "fault/injected", {{"kind", "crash"}, {"worker", ws}}));
-      fault_metrics_.retries.push_back(
-          registry.GetCounter("net/retries", {{"worker", ws}}));
-      fault_metrics_.retransmit_bytes.push_back(
-          registry.GetCounter("net/retransmit_bytes", {{"worker", ws}}));
-    }
-    for (int s = 0; s < cluster_.num_servers; ++s) {
-      fault_metrics_.injected_stall.push_back(registry.GetCounter(
-          "fault/injected",
-          {{"kind", "stall"}, {"server", std::to_string(s)}}));
-    }
-    fault_metrics_.lost_messages = registry.GetCounter("net/lost_messages");
-    fault_metrics_.quorum = registry.GetGauge("trainer/quorum");
+  // Gather happens in parallel across server links: the slowest shard
+  // bounds the phase.
+  const double gather_seconds = *std::max_element(gather.begin(), gather.end());
+  stats->network_seconds += gather_seconds;
+  for (int s = 0; s < servers; ++s) metrics_.server_gather[s].Add(gather[s]);
+  metrics_.driver_network.Add(gather_seconds);
+  if (obs::TracingEnabled() && gather_seconds > 0.0) {
+    // Modeled, not measured: the span's duration is what NetworkModel
+    // says the gather would have taken on the simulated links.
+    obs::EmitSpan("network", "gather", obs::NowNs(),
+                  static_cast<uint64_t>(gather_seconds * 1e9),
+                  {{"bytes",
+                    static_cast<double>(stats->bytes_up - before.bytes_up)}});
   }
+  // Workers compute/encode in parallel: charge the mean per worker.
+  stats->compute_seconds += compute_sum / workers * cluster_.compute_scale;
+  stats->encode_seconds += encode_sum / workers * cluster_.codec_scale;
+  stats->decode_seconds += decode_sum * cluster_.codec_scale;
+  return contributing;
+}
 
-  // Membership counters follow the fault-metric discipline: each group
-  // registers only when the feature that publishes it is on, so a
-  // churn-off (or checkpoint-off) run registers no new names and its
-  // metric dumps stay bit-identical to the previous layer's goldens.
-  if (membership_active_ && obs::MetricsEnabled()) {
-    membership_metrics_.churn = true;
-    auto& registry = obs::MetricsRegistry::Global();
-    membership_metrics_.joins =
-        registry.GetCounter("membership/events", {{"kind", "join"}});
-    membership_metrics_.leaves =
-        registry.GetCounter("membership/events", {{"kind", "leave"}});
-    membership_metrics_.departs =
-        registry.GetCounter("membership/events", {{"kind", "depart"}});
-    membership_metrics_.handoff_bytes =
-        registry.GetCounter("membership/handoff_bytes");
-    membership_metrics_.sync_bytes =
-        registry.GetCounter("membership/sync_bytes");
-    membership_metrics_.reconfigurations =
-        registry.GetCounter("membership/reconfigurations");
-    membership_metrics_.active_workers =
-        registry.GetGauge("membership/active_workers");
-    membership_metrics_.active_servers =
-        registry.GetGauge("membership/active_servers");
+common::SparseGradient DistributedTrainer::AggregateAndApply(
+    const std::vector<WorkerResult>& results, int contributing,
+    EpochStats* stats) {
+  // Average and apply the optimizer step. Aggregation is range-partitioned
+  // into key slices so it can run on the pool: a key belongs to exactly
+  // one slice and its additions always happen in fixed worker order
+  // inside that slice, so every float — and the sorted concatenation of
+  // the ascending slices — is bit-identical at any slice or thread count.
+  common::Stopwatch watch;
+  common::SparseGradient mean_grad;
+  {
+    obs::TraceSpan aggregate_span("trainer", "aggregate");
+    // K-of-W degradation: a degraded batch averages over the surviving
+    // workers only (the quorum check guarantees contributing >= 1). Fault
+    // free, every worker contributes and this is the usual mean.
+    const double inv_workers = 1.0 / static_cast<double>(contributing);
+    const auto aggregate_slice = [&](uint64_t lo, uint64_t hi) {
+      std::unordered_map<uint64_t, double> sums;
+      for (const WorkerResult& r : results) {
+        if (!r.contributes) continue;
+        for (const auto& pair : r.decoded) {
+          if (pair.key >= lo && pair.key < hi) sums[pair.key] += pair.value;
+        }
+      }
+      common::SparseGradient slice;
+      slice.reserve(sums.size());
+      for (const auto& [key, value] : sums) {
+        slice.push_back({key, value * inv_workers});
+      }
+      common::SortByKey(&slice);
+      return slice;
+    };
+    const uint64_t dim = std::max<uint64_t>(1, train_->dim());
+    const uint64_t slices =
+        pool_ ? std::min(dim, static_cast<uint64_t>(4 * num_threads_)) : 1;
+    for (const common::SparseGradient& slice :
+         MapTasks(pool_.get(), slices, [&](uint64_t s) {
+           // The last slice takes [lo, 2^64): a stray out-of-range key
+           // lands there at any slice count.
+           return aggregate_slice(dim * s / slices,
+                                  s + 1 == slices
+                                      ? std::numeric_limits<uint64_t>::max()
+                                      : dim * (s + 1) / slices);
+         })) {
+      mean_grad.insert(mean_grad.end(), slice.begin(), slice.end());
+    }
   }
-  if (checkpoints_enabled_ && obs::MetricsEnabled()) {
-    membership_metrics_.checkpoints = true;
-    auto& registry = obs::MetricsRegistry::Global();
-    membership_metrics_.rollbacks =
-        registry.GetCounter("membership/rollbacks");
-    membership_metrics_.checkpoint_bytes =
-        registry.GetCounter("membership/checkpoint_bytes");
+  {
+    obs::TraceSpan update_span("trainer", "update");
+    optimizer_->Apply(mean_grad);
   }
+  const double update_elapsed = watch.Restart() * cluster_.codec_scale;
+  stats->update_seconds += update_elapsed;
+  metrics_.driver_update.Add(update_elapsed);
+  // Feed the aggregate into the owning shards' mergeable state (KLL over
+  // |value|, MinMaxSketch key->bucket cache) before the broadcast consumes
+  // it. Driver-side and serial, so the sketches are a pure function of the
+  // update stream.
+  if (membership_active_) {
+    for (const auto& pair : mean_grad) {
+      const int s = ring_.ShardOf(pair.key);
+      shard_values_[s].Update(std::abs(pair.value));
+      shard_keys_[s].Insert(pair.key, MagnitudeBucket(pair.value));
+    }
+  }
+  return mean_grad;
+}
+
+common::Status DistributedTrainer::BroadcastUpdate(
+    common::SparseGradient update, int workers, EpochStats* stats) {
+  // Re-encode the aggregated update with the same codec. With sharding
+  // each server broadcasts its key range; shards broadcast in parallel
+  // so the slowest bounds the phase.
+  double slowest_broadcast = 0.0;
+  double driver_encode_seconds = 0.0, driver_decode_seconds = 0.0;
+  const uint64_t bytes_down_before = stats->bytes_down;
+  {
+    obs::TraceSpan broadcast_span("trainer", "broadcast");
+    const std::vector<common::SparseGradient> update_shards =
+        SplitByShard(std::move(update));
+    common::Stopwatch watch;
+    for (const common::SparseGradient& shard : update_shards) {
+      if (shard.empty()) continue;
+      watch.Restart();
+      compress::EncodedGradient update_msg;
+      SKETCHML_RETURN_IF_ERROR(codec_->Encode(shard, &update_msg));
+      driver_encode_seconds += watch.Restart() / active_servers_;
+
+      stats->bytes_down +=
+          static_cast<uint64_t>(update_msg.size()) * workers;
+      // Spark-style torrent broadcast: the server emits the update once
+      // and executors propagate copies peer-to-peer in parallel, so the
+      // critical path is ~2 link traversals regardless of W (the gather
+      // path, by contrast, really does serialize W messages through each
+      // server's NIC).
+      slowest_broadcast = std::max(
+          slowest_broadcast,
+          2.0 * cluster_.network.TransferSeconds(update_msg.size()));
+
+      watch.Restart();
+      common::SparseGradient worker_copy;
+      SKETCHML_RETURN_IF_ERROR(codec_->Decode(update_msg, &worker_copy));
+      driver_decode_seconds += watch.Restart();  // Workers decode in parallel.
+    }
+  }
+  stats->network_seconds += slowest_broadcast;
+  // The broadcast encode/decode run on the driver; charge them to the
+  // stats and the driver slices alike, so
+  //   encode = Σ worker{encode} + driver{encode}   (and likewise decode
+  // over server + driver slices) reconciles exactly.
+  const double driver_encode =
+      driver_encode_seconds / workers * cluster_.codec_scale;
+  const double driver_decode = driver_decode_seconds * cluster_.codec_scale;
+  stats->encode_seconds += driver_encode;
+  stats->decode_seconds += driver_decode;
+  metrics_.driver_encode.Add(driver_encode);
+  metrics_.driver_decode.Add(driver_decode);
+  metrics_.driver_network.Add(slowest_broadcast);
+  if (obs::TracingEnabled() && slowest_broadcast > 0.0) {
+    // Modeled torrent-broadcast time, same convention as "gather".
+    obs::EmitSpan("network", "broadcast", obs::NowNs(),
+                  static_cast<uint64_t>(slowest_broadcast * 1e9),
+                  {{"bytes", static_cast<double>(stats->bytes_down -
+                                                 bytes_down_before)}});
+  }
+  return common::Status::Ok();
+}
+
+common::Status DistributedTrainer::FinishEpoch(uint64_t total_nnz,
+                                               EpochStats* stats) {
+  stats->avg_gradient_nnz =
+      stats->messages > 0 ? static_cast<double>(total_nnz) /
+                                static_cast<double>(stats->messages)
+                          : 0.0;
+  stats->train_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
+                                          *train_, config_.lambda);
+  if (test_ != nullptr && config_.evaluate_test_loss) {
+    stats->test_loss =
+        ml::ComputeMeanLoss(*loss_, optimizer_->weights(), *test_, 0.0);
+  }
+  simulated_seconds_ += stats->TotalSeconds();
+  MergeTelemetryTails(/*leaver=*/-1);
+  membership_metrics_.active_workers.Set(
+      static_cast<double>(directory_.active().size()));
+  membership_metrics_.active_servers.Set(static_cast<double>(active_servers_));
+  // Epoch checkpoint: seal the full training state so a later
+  // below-quorum attempt can roll back here instead of failing the run.
+  if (cluster_.membership.CheckpointsEnabled() &&
+      epochs_run_ % cluster_.membership.checkpoint_every == 0) {
+    SKETCHML_RETURN_IF_ERROR(SaveCheckpoint(&checkpoint_));
+    stats->checkpoint_bytes = checkpoint_.size();
+    membership_metrics_.checkpoint_bytes.Add(
+        static_cast<double>(checkpoint_.size()));
+  }
+  // Rollbacks consumed since the last *reported* epoch, read only here —
+  // at the end of a successful attempt — so a chain of failed retries
+  // accumulates into the epoch that finally lands instead of each failed
+  // attempt swallowing its predecessor's count.
+  stats->rollbacks = pending_rollbacks_;
+  pending_rollbacks_ = 0;
+  membership_metrics_.rollbacks.Add(static_cast<double>(stats->rollbacks));
+  PublishEpochStats(*stats);
+  return common::Status::Ok();
+}
+
+void DistributedTrainer::MergeTelemetryTails(int leaver) {
+  // Cross-node telemetry aggregation: serialize worker window tails and
+  // merge them into the cluster-wide slots (KLL mergeability as the
+  // aggregation primitive). At the epoch boundary (leaver < 0) every
+  // worker's tail is merged and then every window retires into the ring.
+  // A leaving worker's tail is drained instead, so its samples survive
+  // the departure without being merged twice. Payload sizes count in
+  // telemetry/* only — never charged to the NetworkModel — so enabling
+  // metrics cannot perturb the modeled timings or the training output.
+  if (!metrics_on_) return;
+  auto& sketches = obs::SketchHistogramRegistry::Global();
+  for (const SketchTelemetry::Lane* lane :
+       {&sketch_metrics_.compute, &sketch_metrics_.encode,
+        &sketch_metrics_.push}) {
+    for (int w = 0; w < static_cast<int>(lane->workers.size()); ++w) {
+      if (leaver >= 0 && w != leaver) continue;
+      const obs::SketchHistogram& tail = lane->workers[w];
+      const std::vector<uint8_t> payload = leaver >= 0
+                                               ? sketches.DrainTail(tail)
+                                               : sketches.SerializeTail(tail);
+      if (payload.empty()) continue;
+      sketch_metrics_.merges.Increment();
+      sketch_metrics_.merge_bytes.Add(static_cast<double>(payload.size()));
+      const common::Status merged = sketches.MergeSerialized(
+          lane->cluster, payload.data(), payload.size());
+      if (!merged.ok()) {
+        SKETCHML_LOG(Warning)
+            << "telemetry sketch merge failed: " << merged.ToString();
+      }
+    }
+  }
+  if (leaver < 0) sketches.AdvanceWindows();
 }
 
 common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
   const size_t n = train_->size();
   const size_t batch_size = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(n) * config_.batch_ratio));
-  const int servers = cluster_.num_servers;
-  const uint64_t dim = std::max<uint64_t>(1, train_->dim());
-
-  // Owning shard of a gradient key: consistent-hash ring while the
-  // membership layer is active (shards can come and go — see
-  // ReconfigureShards), the original key-range partition otherwise
-  // (identity when servers == 1), so churn-off byte streams stay
-  // bit-identical to the fixed-fleet trainer.
-  const bool elastic = membership_active_;
-  const auto shard_of = [&](uint64_t key) {
-    if (elastic) return ring_.ShardOf(key);
-    return static_cast<int>(key * static_cast<uint64_t>(servers) / dim);
-  };
-
   EpochStats stats;
   stats.epoch = ++epochs_run_;
   if (membership_active_) {
@@ -323,703 +935,56 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     // shard state moves via mergeable-sketch handoff.
     SKETCHML_RETURN_IF_ERROR(ReconfigureShards(&stats));
   }
-  double total_nnz = 0.0;
-
+  uint64_t total_nnz = 0;
   obs::TraceSpan epoch_span("trainer", "epoch");
   epoch_span.Arg("epoch", static_cast<double>(stats.epoch));
 
-  common::Stopwatch watch;
-  std::vector<double> shard_gather_seconds(servers);
+  // Per batch: fleet -> workers (compute, split, encode, deliver, decode)
+  // -> reduce -> aggregate and apply -> broadcast.
   for (size_t batch_start = 0; batch_start < n; batch_start += batch_size) {
     const size_t batch_end = std::min(n, batch_start + batch_size);
-    const size_t batch_count = batch_end - batch_start;
-
-    // Membership events fire at batch boundaries, before the batch
-    // partitions its ranges. Decisions key on the global batch counter
-    // (like fault injection), so churn replays identically across
-    // epochs and thread counts. With an inactive plan ApplyBatch is a
-    // no-op and `ids` stays the identity fleet 0..num_workers-1.
-    if (membership_active_) {
-      std::vector<MembershipEvent> events;
-      directory_.ApplyBatch(batches_run_, &events);
-      for (const MembershipEvent& event : events) {
-        ApplyMembershipEvent(event, &stats);
-      }
+    // Fleet: membership events fire at batch boundaries, before the
+    // batch partitions its ranges. Decisions key on the global batch
+    // counter, so churn replays identically across epochs and thread
+    // counts; an inactive plan fires none.
+    std::vector<MembershipEvent> events;
+    directory_.ApplyBatch(batches_run_, &events);
+    for (const MembershipEvent& event : events) {
+      ApplyMembershipEvent(event, &stats);
     }
-    const std::vector<int>& ids = directory_.active();
-    const int workers = static_cast<int>(ids.size());
-    const size_t shard =
-        std::max<size_t>(1, (batch_count + workers - 1) / workers);
-
-    // Phase 1+2: each executor is an independent task — it computes its
-    // mini-gradient, splits it by server shard, encodes one message per
-    // shard, and (standing in for the owning server, phase 3a) decodes
-    // it. Tasks share no mutable state: worker w's codec is its own
-    // forked seed lane, so results are bit-identical at any thread count.
-    struct WorkerResult {
-      common::Status status;
-      common::SparseGradient decoded;   // Decoded pairs, in shard order.
-      std::vector<size_t> shard_bytes;  // Message bytes per server shard.
-      // Decode seconds attributed to each server shard (sums to
-      // decode_seconds); lets the driver publish per-server slices.
-      std::vector<double> shard_decode_seconds;
-      // Modeled seconds on each server's gather link, including every
-      // retransmit attempt and backoff wait. Only filled on the fault
-      // path; the fault-free reduce derives link time from shard_bytes.
-      std::vector<double> shard_link_seconds;
-      uint64_t messages = 0;
-      size_t nnz = 0;
-      double compute_seconds = 0.0;
-      double encode_seconds = 0.0;
-      double decode_seconds = 0.0;
-      // L1 distance between this worker's sent gradient and what the
-      // server decoded, plus the sent gradient's own L1 (the denominator
-      // for a relative recovery error). Only filled when metrics are on;
-      // read-only over the same values either way, so the byte stream and
-      // losses are bit-identical with metrics on or off.
-      double recovery_error_l1 = 0.0;
-      double recovery_ref_l1 = 0.0;
-      // Fault accounting (all zero / contributes=true when the plan is
-      // inactive). A worker contributes to the batch aggregate only if it
-      // did not crash and every non-empty shard message was delivered.
-      bool crashed = false;
-      bool straggled = false;
-      bool contributes = true;
-      uint64_t injected_drops = 0;
-      uint64_t injected_corruptions = 0;
-      uint64_t retries = 0;
-      uint64_t retransmit_bytes = 0;
-      uint64_t lost = 0;
-      double retry_seconds = 0.0;  // Backoff + retransmit link time.
-    };
-    const uint64_t gbatch = batches_run_;
-    const bool faults = faults_active_;
 
     // Causal root of this batch. Each worker chain (compute → encode →
     // per-attempt transfer → decode) adopts this context on whatever
     // thread executes it, so the batch reconstructs as one rooted tree
     // even across pool threads. Sampling keys on the *global* batch
     // counter, so the sampled set is deterministic across thread counts;
-    // an invalid context simply elides the causal spans below and never
+    // an invalid context simply elides the causal spans and never
     // touches the measured phases or byte streams.
     std::optional<obs::TraceSpan> batch_span;
     if (obs::TracingEnabled() &&
         (config_.trace_sample_every <= 1 ||
-         gbatch % static_cast<uint64_t>(config_.trace_sample_every) == 0)) {
+         batches_run_ % static_cast<uint64_t>(config_.trace_sample_every) ==
+             0)) {
       batch_span.emplace("trainer", "batch");
-      batch_span->Arg("batch", static_cast<double>(gbatch));
+      batch_span->Arg("batch", static_cast<double>(batches_run_));
     }
     const obs::SpanContext batch_ctx =
         batch_span ? batch_span->context() : obs::SpanContext{};
 
-    const auto run_worker = [&, this](int w, size_t lo, size_t hi) {
-      WorkerResult r;
-      r.shard_bytes.assign(servers, 0);
-      r.shard_decode_seconds.assign(servers, 0.0);
-      r.shard_link_seconds.assign(servers, 0.0);
-      if (faults && injector_.WorkerCrashed(gbatch, w)) {
-        // Crash-for-k-batches: the executor is down, computes nothing and
-        // sends nothing. It rejoins via the (fault-free) weight broadcast.
-        r.crashed = true;
-        r.contributes = false;
-        return r;
-      }
-      const double straggle =
-          faults ? injector_.StraggleFactor(gbatch, w) : 1.0;
-      r.straggled = straggle > 1.0;
-      compress::GradientCodec* codec = WorkerCodec(w);
-      // Cross-thread hand-off: this task may run on a pool thread, so
-      // adopt the batch's context and open this worker's push span under
-      // it. Inner spans (compute below, the codec's encode/decode, the
-      // modeled transfer attempts) then chain off the push span through
-      // the thread-local context stack.
-      obs::TraceContextScope batch_scope(batch_ctx);
-      std::optional<obs::TraceSpan> push_span;
-      if (batch_ctx.valid()) {
-        push_span.emplace("trainer", "push");
-        push_span->Arg("worker", static_cast<double>(w));
-        push_span->Arg("batch", static_cast<double>(gbatch));
-      }
-      common::Stopwatch task_watch;
-      common::SparseGradient grad;
-      {
-        std::optional<obs::TraceSpan> span;
-        if (batch_ctx.valid()) {
-          span.emplace("trainer", "compute");
-          span->Arg("worker", static_cast<double>(w));
-        }
-        grad = ml::ComputeBatchGradient(*loss_, optimizer_->weights(), *train_,
-                                        lo, hi, config_.lambda);
-      }
-      r.compute_seconds = task_watch.Restart() * straggle;
-      r.nnz = grad.size();
-
-      // Partition by server shard (a single pass: keys are sorted and
-      // shard ranges are contiguous).
-      std::vector<common::SparseGradient> per_shard(servers);
-      if (servers == 1) {
-        per_shard[0] = std::move(grad);
-      } else {
-        const size_t hint = grad.size() / static_cast<size_t>(servers) + 1;
-        for (auto& piece : per_shard) piece.reserve(hint);
-        for (const auto& pair : grad) {
-          const int dest = shard_of(pair.key);
-          // A key >= dim would compute a shard past the last server and
-          // corrupt the neighbouring vector silently.
-          SKETCHML_DCHECK_GE(dest, 0);
-          SKETCHML_DCHECK_LT(dest, servers)
-              << "gradient key " << pair.key << " outside model dim " << dim;
-          per_shard[dest].push_back(pair);
-        }
-      }
-
-      // Recovery error: codecs keep keys exact, so walk the sorted
-      // sent/decoded lists in lockstep and accumulate |sent - got|.
-      const auto accumulate_recovery = [&r](
-                                           const common::SparseGradient& sent,
-                                           const common::SparseGradient& got) {
-        size_t j = 0;
-        for (const auto& pair : sent) {
-          while (j < got.size() && got[j].key < pair.key) ++j;
-          const double value = (j < got.size() && got[j].key == pair.key)
-                                   ? got[j].value
-                                   : 0.0;
-          r.recovery_error_l1 += std::abs(value - pair.value);
-          r.recovery_ref_l1 += std::abs(pair.value);
-        }
-      };
-
-      for (int s = 0; s < servers; ++s) {
-        if (per_shard[s].empty()) continue;
-        task_watch.Restart();
-        compress::EncodedGradient msg;
-        r.status = codec->Encode(per_shard[s], &msg);
-        if (!r.status.ok()) return r;
-        r.encode_seconds += task_watch.Restart() * straggle;
-        ++r.messages;
-
-        if (!faults) {
-          r.shard_bytes[s] = msg.size();
-          // Phase 3a: the owning server decodes (serial per server, but
-          // servers run in parallel — approximate with the sum / servers).
-          common::SparseGradient decoded;
-          r.status = codec->Decode(msg, &decoded);
-          if (!r.status.ok()) return r;
-          const double decode_elapsed = task_watch.Restart() / servers;
-          r.decode_seconds += decode_elapsed;
-          r.shard_decode_seconds[s] = decode_elapsed;
-          if (metrics_.enabled) accumulate_recovery(per_shard[s], decoded);
-          r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
-          if (batch_ctx.valid()) {
-            // Modeled clean transfer of this shard message (single
-            // attempt), parented under the push span via the context
-            // stack. Emitted outside the decode timing window.
-            obs::EmitSpan(
-                "network", "transfer", obs::NowNs(),
-                static_cast<uint64_t>(
-                    cluster_.network.TransferSeconds(msg.size()) * 1e9),
-                {{"attempt", 0.0},
-                 {"bytes", static_cast<double>(msg.size())}});
-          }
-          continue;
-        }
-
-        // Fault path: CRC-frame the payload — the framed bytes are what
-        // crosses the wire — then walk the retransmit loop. Every attempt
-        // charges one transfer of the framed message to this shard's
-        // gather link; each retry additionally waits out an exponential
-        // backoff. Drop/corrupt decisions are pure functions of
-        // (seed, batch, worker, server, attempt), so the sequence is
-        // replayable and independent of thread interleaving.
-        std::vector<uint8_t> framed;
-        common::FrameMessage(msg.bytes, &framed);
-        r.shard_bytes[s] = framed.size();
-        bool delivered = false;
-        const int attempts = injector_.plan().max_retries + 1;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-          if (attempt > 0) {
-            ++r.retries;
-            r.retransmit_bytes += framed.size();
-            r.retry_seconds += injector_.BackoffSeconds(attempt) +
-                               cluster_.network.TransferSeconds(framed.size());
-          }
-          r.shard_link_seconds[s] +=
-              cluster_.network.TransferSeconds(framed.size());
-          if (attempt > 0) {
-            r.shard_link_seconds[s] += injector_.BackoffSeconds(attempt);
-          }
-          if (batch_ctx.valid()) {
-            // Modeled wire time for this delivery attempt (retries also
-            // include the backoff wait that preceded them), one span per
-            // attempt so retry amplification is visible in the tree.
-            obs::EmitSpan(
-                "network", "transfer", obs::NowNs(),
-                static_cast<uint64_t>(
-                    (cluster_.network.TransferSeconds(framed.size()) +
-                     (attempt > 0 ? injector_.BackoffSeconds(attempt) : 0.0)) *
-                    1e9),
-                {{"attempt", static_cast<double>(attempt)},
-                 {"bytes", static_cast<double>(framed.size())}});
-          }
-          if (injector_.ShouldDrop(gbatch, w, s, attempt)) {
-            ++r.injected_drops;
-            continue;  // Vanished in flight; the sender times out, resends.
-          }
-          std::vector<uint8_t> wire = framed;
-          if (injector_.ShouldCorrupt(gbatch, w, s, attempt)) {
-            ++r.injected_corruptions;
-            injector_.Corrupt(&wire, gbatch, w, s, attempt);
-          }
-          // Server side: validate the frame, then decode the payload. A
-          // detected corruption is NACKed and retried; the CPU spent
-          // detecting it is charged to decode like any delivered message.
-          task_watch.Restart();
-          std::vector<uint8_t> payload;
-          common::Status receive = common::UnframeMessage(wire, &payload);
-          common::SparseGradient decoded;
-          if (receive.ok()) {
-            compress::EncodedGradient inner;
-            inner.bytes = std::move(payload);
-            receive = codec->Decode(inner, &decoded);
-          }
-          const double decode_elapsed = task_watch.Restart() / servers;
-          r.decode_seconds += decode_elapsed;
-          r.shard_decode_seconds[s] += decode_elapsed;
-          if (!receive.ok()) continue;  // Corruption detected: retry.
-          delivered = true;
-          if (metrics_.enabled) accumulate_recovery(per_shard[s], decoded);
-          r.decoded.insert(r.decoded.end(), decoded.begin(), decoded.end());
-          break;
-        }
-        if (!delivered) {
-          // Retry budget exhausted: the sender's final timeout closes the
-          // exchange and the driver drops this worker from the batch.
-          const double timeout = injector_.BackoffSeconds(attempts);
-          r.shard_link_seconds[s] += timeout;
-          r.retry_seconds += timeout;
-          ++r.lost;
-          r.contributes = false;
-        }
-      }
-      return r;
-    };
-
-    // Slice i of the batch belongs to worker ids[i]: run_worker takes
-    // the *worker id* (it keys fault decisions and picks the codec seed
-    // lane), while ranges/results stay slice-indexed. With membership
-    // off ids[i] == i and this is the previous fixed-fleet partition.
-    std::vector<std::pair<size_t, size_t>> ranges;
-    for (int i = 0; i < workers; ++i) {
-      const size_t lo = batch_start + static_cast<size_t>(i) * shard;
-      if (lo >= batch_end) break;
-      ranges.emplace_back(lo, std::min(batch_end, lo + shard));
-    }
-    const int active_workers = static_cast<int>(ranges.size());
-    if (active_workers == 0) continue;
-
-    std::vector<WorkerResult> results(active_workers);
-    if (pool_ != nullptr && active_workers > 1) {
-      std::vector<common::TaskFuture<WorkerResult>> futures(active_workers);
-      for (int i = 0; i < active_workers; ++i) {
-        futures[i] = pool_->Submit([&run_worker, &ranges, &ids, i] {
-          return run_worker(ids[i], ranges[i].first, ranges[i].second);
-        });
-      }
-      for (int i = 0; i < active_workers; ++i) results[i] = futures[i].Get();
-    } else {
-      for (int i = 0; i < active_workers; ++i) {
-        results[i] = run_worker(ids[i], ranges[i].first, ranges[i].second);
-      }
-    }
-
-    // Reduce in fixed worker order so every accumulated stat is
-    // independent of execution interleaving. Per-entity counters are
-    // published here (not from worker threads) with the same scale
-    // factors the aggregate stats use, so labeled slices reconcile with
-    // EpochStats exactly (see EntityMetrics in trainer.h).
-    double compute_sum = 0.0, encode_sum = 0.0, decode_sum = 0.0;
-    double batch_retry_seconds = 0.0;
-    uint64_t batch_bytes_up = 0;          // This batch's gather traffic.
-    uint64_t batch_retransmit_bytes = 0;  // Retry amplification, this batch.
-    uint64_t batch_retries = 0;
-    int contributing = 0;
-    std::fill(shard_gather_seconds.begin(), shard_gather_seconds.end(), 0.0);
-    for (int i = 0; i < active_workers; ++i) {
-      WorkerResult& r = results[i];
-      // Per-worker metric slots are indexed by the worker's id in the
-      // membership universe, not its slice position in this batch.
-      const int w = ids[i];
-      SKETCHML_RETURN_IF_ERROR(r.status);
-      if (r.contributes) ++contributing;
-      total_nnz += static_cast<double>(r.nnz);
-      compute_sum += r.compute_seconds;
-      encode_sum += r.encode_seconds;
-      decode_sum += r.decode_seconds;
-      stats.messages += r.messages;
-      for (int s = 0; s < servers; ++s) {
-        if (r.shard_bytes[s] == 0) continue;
-        stats.bytes_up += r.shard_bytes[s];
-        batch_bytes_up += r.shard_bytes[s];
-        // On the fault path the worker already modeled its link time
-        // (every retransmit attempt plus backoff waits); fault-free, one
-        // clean transfer of the message.
-        shard_gather_seconds[s] +=
-            faults ? r.shard_link_seconds[s]
-                   : cluster_.network.TransferSeconds(r.shard_bytes[s]);
-      }
-      if (faults) {
-        stats.injected_faults += r.injected_drops + r.injected_corruptions +
-                                 (r.straggled ? 1 : 0) + (r.crashed ? 1 : 0);
-        stats.retries += r.retries;
-        stats.retransmit_bytes += r.retransmit_bytes;
-        batch_retries += r.retries;
-        batch_retransmit_bytes += r.retransmit_bytes;
-        stats.lost_messages += r.lost;
-        batch_retry_seconds += r.retry_seconds;
-        if (fault_metrics_.enabled) {
-          if (r.injected_drops > 0) {
-            fault_metrics_.injected_drop[w].Add(
-                static_cast<double>(r.injected_drops));
-          }
-          if (r.injected_corruptions > 0) {
-            fault_metrics_.injected_corrupt[w].Add(
-                static_cast<double>(r.injected_corruptions));
-          }
-          if (r.straggled) fault_metrics_.injected_straggle[w].Increment();
-          if (r.crashed) fault_metrics_.injected_crash[w].Increment();
-          if (r.retries > 0) {
-            fault_metrics_.retries[w].Add(static_cast<double>(r.retries));
-            fault_metrics_.retransmit_bytes[w].Add(
-                static_cast<double>(r.retransmit_bytes));
-          }
-          if (r.lost > 0) {
-            fault_metrics_.lost_messages.Add(static_cast<double>(r.lost));
-          }
-        }
-      }
-      if (metrics_.enabled) {
-        metrics_.worker_compute[w].Add(r.compute_seconds / active_workers *
-                                       cluster_.compute_scale);
-        metrics_.worker_encode[w].Add(r.encode_seconds / active_workers *
-                                      cluster_.codec_scale);
-        if (sketch_metrics_.enabled) {
-          // Per-batch latency distributions, recorded from this driver
-          // thread only (single writer => snapshots identical across
-          // --threads). Push is the worker's total modeled link time.
-          sketch_metrics_.worker_compute[w].Record(
-              r.compute_seconds / active_workers * cluster_.compute_scale);
-          sketch_metrics_.worker_encode[w].Record(
-              r.encode_seconds / active_workers * cluster_.codec_scale);
-          double push_seconds = 0.0;
-          for (int s = 0; s < servers; ++s) {
-            if (r.shard_bytes[s] == 0) continue;
-            push_seconds +=
-                faults ? r.shard_link_seconds[s]
-                       : cluster_.network.TransferSeconds(r.shard_bytes[s]);
-          }
-          sketch_metrics_.worker_push[w].Record(push_seconds);
-        }
-        metrics_.worker_recovery_err[w].Add(r.recovery_error_l1);
-        metrics_.worker_recovery_ref[w].Add(r.recovery_ref_l1);
-        for (int s = 0; s < servers; ++s) {
-          if (r.shard_decode_seconds[s] > 0.0) {
-            metrics_.server_decode[s].Add(r.shard_decode_seconds[s] *
-                                          cluster_.codec_scale);
-          }
-          if (r.shard_bytes[s] > 0) {
-            metrics_.server_bytes[s].Add(
-                static_cast<double>(r.shard_bytes[s]));
-          }
-        }
-      }
-    }
-    if (faults) {
-      // Server-shard stalls: a stalled server delays the gather in flight
-      // on its link (no effect on a link with no traffic this batch).
-      for (int s = 0; s < servers; ++s) {
-        if (shard_gather_seconds[s] > 0.0 &&
-            injector_.ServerStalled(gbatch, s)) {
-          shard_gather_seconds[s] += cluster_.faults.stall_seconds;
-          ++stats.injected_faults;
-          if (fault_metrics_.enabled) {
-            fault_metrics_.injected_stall[s].Increment();
-          }
-        }
-      }
-      // Recovery decision: enough whole gradients survived to apply the
-      // batch? Below min_quorum the epoch fails with a typed status; a
-      // partial-but-quorate batch is applied degraded (the aggregate is
-      // rescaled to the mean of the survivors below).
-      if (contributing < cluster_.faults.min_quorum) {
-        return common::Status::Unavailable(
-            "quorum failure at batch " + std::to_string(gbatch) + ": " +
-            std::to_string(contributing) + " of " +
-            std::to_string(active_workers) + " workers delivered (min_quorum=" +
-            std::to_string(cluster_.faults.min_quorum) + ")");
-      }
-      if (contributing < active_workers) ++stats.degraded_batches;
-      if (fault_metrics_.enabled) {
-        fault_metrics_.quorum.Set(static_cast<double>(contributing));
-      }
-      if (obs::TracingEnabled() && batch_retry_seconds > 0.0) {
-        // Modeled recovery time (retransmits + backoff), same convention
-        // as the "gather" span below. The batch span is still open on
-        // this thread, so the analyzer can charge retry amplification to
-        // its batch.
-        obs::EmitSpan("network", "retry", obs::NowNs(),
-                      static_cast<uint64_t>(batch_retry_seconds * 1e9),
-                      {{"attempt", static_cast<double>(batch_retries)},
-                       {"bytes", static_cast<double>(batch_retransmit_bytes)}});
-      }
-    }
-
-    // Gather happens in parallel across server links: the slowest shard
-    // bounds the phase.
-    const double gather_seconds = *std::max_element(
-        shard_gather_seconds.begin(), shard_gather_seconds.end());
-    stats.network_seconds += gather_seconds;
-    if (metrics_.enabled) {
-      for (int s = 0; s < servers; ++s) {
-        if (shard_gather_seconds[s] > 0.0) {
-          metrics_.server_gather[s].Add(shard_gather_seconds[s]);
-        }
-      }
-      if (gather_seconds > 0.0) metrics_.driver_network.Add(gather_seconds);
-    }
-    if (obs::TracingEnabled() && gather_seconds > 0.0) {
-      // Modeled, not measured: the span's duration is what NetworkModel
-      // says the gather would have taken on the simulated links.
-      obs::EmitSpan("network", "gather", obs::NowNs(),
-                    static_cast<uint64_t>(gather_seconds * 1e9),
-                    {{"bytes", static_cast<double>(batch_bytes_up)}});
-    }
-
-    // Phase 3b: average and apply the optimizer step. Aggregation is
-    // range-partitioned into key slices so it can run on the pool: a key
-    // belongs to exactly one slice and its additions always happen in
-    // fixed worker order inside that slice, so every float — and the
-    // sorted concatenation of the ascending slices — is bit-identical
-    // at any slice or thread count.
-    watch.Restart();
-    common::SparseGradient mean_grad;
-    {
-      obs::TraceSpan aggregate_span("trainer", "aggregate");
-      // K-of-W degradation: a degraded batch averages over the surviving
-      // workers only (quorum above guarantees contributing >= 1). Fault
-      // free, contributing == active_workers and this is the usual mean.
-      const double inv_workers = 1.0 / static_cast<double>(contributing);
-      const auto aggregate_slice = [&](uint64_t lo, uint64_t hi) {
-        std::unordered_map<uint64_t, double> sums;
-        for (int w = 0; w < active_workers; ++w) {
-          if (!results[w].contributes) continue;
-          for (const auto& pair : results[w].decoded) {
-            if (pair.key >= lo && pair.key < hi) sums[pair.key] += pair.value;
-          }
-        }
-        common::SparseGradient slice;
-        slice.reserve(sums.size());
-        for (const auto& [key, value] : sums) {
-          slice.push_back({key, value * inv_workers});
-        }
-        common::SortByKey(&slice);
-        return slice;
-      };
-      if (pool_ != nullptr) {
-        const uint64_t slices =
-            std::min(dim, static_cast<uint64_t>(4 * num_threads_));
-        std::vector<common::TaskFuture<common::SparseGradient>> slice_tasks;
-        slice_tasks.reserve(slices);
-        for (uint64_t s = 0; s < slices; ++s) {
-          const uint64_t lo = dim * s / slices;
-          // The last slice absorbs any stray out-of-range key, exactly as
-          // the single-map path would.
-          const uint64_t hi = s + 1 == slices
-                                  ? std::numeric_limits<uint64_t>::max()
-                                  : dim * (s + 1) / slices;
-          slice_tasks.push_back(pool_->Submit(
-              [&aggregate_slice, lo, hi] { return aggregate_slice(lo, hi); }));
-        }
-        for (auto& task : slice_tasks) {
-          const common::SparseGradient slice = task.Get();
-          mean_grad.insert(mean_grad.end(), slice.begin(), slice.end());
-        }
-      } else {
-        mean_grad = aggregate_slice(0, std::numeric_limits<uint64_t>::max());
-      }
-    }
-    {
-      obs::TraceSpan update_span("trainer", "update");
-      optimizer_->Apply(mean_grad);
-    }
-    const double update_elapsed = watch.Restart() * cluster_.codec_scale;
-    stats.update_seconds += update_elapsed;
-    if (metrics_.enabled && update_elapsed > 0.0) {
-      metrics_.driver_update.Add(update_elapsed);
-    }
-    // Feed the aggregate into the owning shards' mergeable state before
-    // the broadcast below consumes (moves) mean_grad. Driver-side and
-    // serial, so the sketches are a pure function of the update stream.
-    if (membership_active_) UpdateShardState(mean_grad);
-
-    // Phase 4: broadcast the aggregated update, re-encoded with the same
-    // codec. With sharding each server broadcasts its key range; shards
-    // broadcast in parallel so the slowest bounds the phase.
-    double slowest_broadcast = 0.0;
-    double driver_encode_seconds = 0.0, driver_decode_seconds = 0.0;
-    uint64_t batch_bytes_down = 0;
-    {
-      obs::TraceSpan broadcast_span("trainer", "broadcast");
-      std::vector<common::SparseGradient> update_shards(servers);
-      if (servers == 1) {
-        update_shards[0] = std::move(mean_grad);
-      } else {
-        for (const auto& pair : mean_grad) {
-          update_shards[shard_of(pair.key)].push_back(pair);
-        }
-      }
-      for (int s = 0; s < servers; ++s) {
-        if (update_shards[s].empty()) continue;
-        watch.Restart();
-        compress::EncodedGradient update_msg;
-        SKETCHML_RETURN_IF_ERROR(
-            codec_->Encode(update_shards[s], &update_msg));
-        const double broadcast_encode = watch.Restart() / servers;
-        encode_sum += broadcast_encode;
-        driver_encode_seconds += broadcast_encode;
-
-        stats.bytes_down +=
-            static_cast<uint64_t>(update_msg.size()) * active_workers;
-        batch_bytes_down +=
-            static_cast<uint64_t>(update_msg.size()) * active_workers;
-        // Spark-style torrent broadcast: the server emits the update once
-        // and executors propagate copies peer-to-peer in parallel, so the
-        // critical path is ~2 link traversals regardless of W (the gather
-        // path above, by contrast, really does serialize W messages
-        // through each server's NIC).
-        slowest_broadcast = std::max(
-            slowest_broadcast,
-            2.0 * cluster_.network.TransferSeconds(update_msg.size()));
-
-        watch.Restart();
-        common::SparseGradient worker_copy;
-        SKETCHML_RETURN_IF_ERROR(codec_->Decode(update_msg, &worker_copy));
-        const double broadcast_decode = watch.Restart();
-        decode_sum += broadcast_decode;  // One decode: workers parallel.
-        driver_decode_seconds += broadcast_decode;
-      }
-    }
-    stats.network_seconds += slowest_broadcast;
-    if (metrics_.enabled) {
-      // The broadcast encode/decode run on the driver; charge them with
-      // the same factors the aggregate stats apply below so
-      //   encode = Σ worker{encode} + driver{encode}   (and likewise
-      // decode over server + driver slices) reconciles exactly.
-      if (driver_encode_seconds > 0.0) {
-        metrics_.driver_encode.Add(driver_encode_seconds / active_workers *
-                                   cluster_.codec_scale);
-      }
-      if (driver_decode_seconds > 0.0) {
-        metrics_.driver_decode.Add(driver_decode_seconds *
-                                   cluster_.codec_scale);
-      }
-      if (slowest_broadcast > 0.0) {
-        metrics_.driver_network.Add(slowest_broadcast);
-      }
-    }
-    if (obs::TracingEnabled() && slowest_broadcast > 0.0) {
-      // Modeled torrent-broadcast time, same convention as "gather".
-      obs::EmitSpan("network", "broadcast", obs::NowNs(),
-                    static_cast<uint64_t>(slowest_broadcast * 1e9),
-                    {{"bytes", static_cast<double>(batch_bytes_down)}});
-    }
-
-    // Workers compute/encode in parallel: charge the mean per worker.
-    stats.compute_seconds +=
-        compute_sum / active_workers * cluster_.compute_scale;
-    stats.encode_seconds +=
-        encode_sum / active_workers * cluster_.codec_scale;
-    stats.decode_seconds += decode_sum * cluster_.codec_scale;
+    const std::vector<WorkerResult> results =
+        RunWorkers(batch_start, batch_end, batch_ctx);
+    SKETCHML_ASSIGN_OR_RETURN(const int contributing,
+                              ReduceResults(results, &total_nnz, &stats));
+    SKETCHML_RETURN_IF_ERROR(
+        BroadcastUpdate(AggregateAndApply(results, contributing, &stats),
+                        static_cast<int>(results.size()), &stats));
     ++stats.num_batches;
     // Global batch index: the injector keys every decision on it, so the
     // fault sequence is a function of (plan seed, lifetime batch number)
     // and replays identically across epochs and thread counts.
     ++batches_run_;
   }
-
-  stats.avg_gradient_nnz =
-      stats.messages > 0 ? total_nnz / static_cast<double>(stats.messages)
-                         : 0.0;
-  stats.train_loss = ml::ComputeMeanLoss(*loss_, optimizer_->weights(),
-                                         *train_, config_.lambda);
-  if (test_ != nullptr && config_.evaluate_test_loss) {
-    stats.test_loss =
-        ml::ComputeMeanLoss(*loss_, optimizer_->weights(), *test_, 0.0);
-  }
-  simulated_seconds_ += stats.TotalSeconds();
-
-  // Epoch-boundary cross-node telemetry aggregation: serialize each
-  // worker's window tail, merge it into the cluster-wide slot (KLL
-  // mergeability as the aggregation primitive), then retire everyone's
-  // window into the ring. Payload sizes are counted in telemetry/*
-  // only — never charged to the NetworkModel — so enabling metrics
-  // cannot perturb the modeled timings or the training output.
-  if (sketch_metrics_.enabled) {
-    auto& sketches = obs::SketchHistogramRegistry::Global();
-    const struct {
-      const std::vector<obs::SketchHistogram>* workers;
-      const obs::SketchHistogram* cluster;
-    } lanes[] = {
-        {&sketch_metrics_.worker_compute, &sketch_metrics_.cluster_compute},
-        {&sketch_metrics_.worker_encode, &sketch_metrics_.cluster_encode},
-        {&sketch_metrics_.worker_push, &sketch_metrics_.cluster_push},
-    };
-    for (const auto& lane : lanes) {
-      for (const obs::SketchHistogram& worker_sketch : *lane.workers) {
-        const std::vector<uint8_t> payload =
-            sketches.SerializeTail(worker_sketch);
-        if (payload.empty()) continue;
-        sketch_metrics_.merges.Increment();
-        sketch_metrics_.merge_bytes.Add(static_cast<double>(payload.size()));
-        const common::Status merged = sketches.MergeSerialized(
-            *lane.cluster, payload.data(), payload.size());
-        if (!merged.ok()) {
-          SKETCHML_LOG(Warning)
-              << "telemetry sketch merge failed: " << merged.ToString();
-        }
-      }
-    }
-    sketches.AdvanceWindows();
-  }
-
-  if (membership_metrics_.churn) {
-    membership_metrics_.active_workers.Set(
-        static_cast<double>(directory_.active().size()));
-    membership_metrics_.active_servers.Set(
-        static_cast<double>(active_servers_));
-  }
-  // Epoch checkpoint: seal the full training state so a later
-  // below-quorum attempt can roll back here instead of failing the run.
-  if (checkpoints_enabled_ &&
-      epochs_run_ % cluster_.membership.checkpoint_every == 0) {
-    SKETCHML_RETURN_IF_ERROR(SaveCheckpoint(&checkpoint_));
-    stats.checkpoint_bytes = checkpoint_.size();
-    if (membership_metrics_.checkpoints) {
-      membership_metrics_.checkpoint_bytes.Add(
-          static_cast<double>(checkpoint_.size()));
-    }
-  }
-
-  // Rollbacks consumed since the last *reported* epoch, read only here —
-  // at the end of a successful attempt — so a chain of failed retries
-  // accumulates into the epoch that finally lands instead of each failed
-  // attempt swallowing its predecessor's count.
-  stats.rollbacks = pending_rollbacks_;
-  pending_rollbacks_ = 0;
-  if (stats.rollbacks > 0 && membership_metrics_.checkpoints) {
-    membership_metrics_.rollbacks.Add(static_cast<double>(stats.rollbacks));
-  }
-
-  PublishEpochStats(stats);
+  SKETCHML_RETURN_IF_ERROR(FinishEpoch(total_nnz, &stats));
   return stats;
 }
 
@@ -1061,16 +1026,14 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
   switch (event.kind) {
     case MembershipEvent::kJoin: {
       ++stats->joins;
-      if (membership_metrics_.churn) membership_metrics_.joins.Increment();
+      membership_metrics_.joins.Increment();
       // Warm start, step 1: the joiner pulls the current dense weights
       // over the wire — real protocol traffic, charged to the network.
       const uint64_t sync_bytes =
           static_cast<uint64_t>(optimizer_->weights().size()) * sizeof(double);
       stats->sync_bytes += sync_bytes;
       stats->network_seconds += cluster_.network.TransferSeconds(sync_bytes);
-      if (membership_metrics_.churn) {
-        membership_metrics_.sync_bytes.Add(static_cast<double>(sync_bytes));
-      }
+      membership_metrics_.sync_bytes.Add(static_cast<double>(sync_bytes));
       // Warm start, step 2: adopt the oldest escrowed codec-lane state
       // (error-feedback residual + stream position) banked by an earlier
       // leaver, so accumulated correction signal survives churn instead
@@ -1082,13 +1045,7 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
         const common::Status restored =
             worker_codecs_[event.worker]->RestoreState(&reader);
         if (restored.ok()) {
-          stats->handoff_bytes += blob.size();
-          stats->network_seconds +=
-              cluster_.network.TransferSeconds(blob.size());
-          if (membership_metrics_.churn) {
-            membership_metrics_.handoff_bytes.Add(
-                static_cast<double>(blob.size()));
-          }
+          ChargeHandoff(blob.size(), stats);
         } else {
           SKETCHML_LOG(Warning)
               << "worker " << event.worker
@@ -1099,13 +1056,10 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
     }
     case MembershipEvent::kLeave:
     case MembershipEvent::kDepart: {
-      if (event.kind == MembershipEvent::kLeave) {
-        ++stats->leaves;
-        if (membership_metrics_.churn) membership_metrics_.leaves.Increment();
-      } else {
-        ++stats->departs;
-        if (membership_metrics_.churn) membership_metrics_.departs.Increment();
-      }
+      const bool leave = event.kind == MembershipEvent::kLeave;
+      ++(leave ? stats->leaves : stats->departs);
+      (leave ? membership_metrics_.leaves : membership_metrics_.departs)
+          .Increment();
       // Graceful handoff, step 1: bank the leaver's codec-lane state
       // (residual + RNG position) in the escrow for a future joiner.
       // The blob crosses the wire to the driver, so it is charged.
@@ -1114,13 +1068,7 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
         worker_codecs_[event.worker]->SaveState(&writer);
         std::vector<uint8_t> blob = writer.TakeBuffer();
         if (!blob.empty()) {
-          stats->handoff_bytes += blob.size();
-          stats->network_seconds +=
-              cluster_.network.TransferSeconds(blob.size());
-          if (membership_metrics_.churn) {
-            membership_metrics_.handoff_bytes.Add(
-                static_cast<double>(blob.size()));
-          }
+          ChargeHandoff(blob.size(), stats);
           residual_escrow_.push_back(std::move(blob));
         }
       }
@@ -1128,42 +1076,23 @@ void DistributedTrainer::ApplyMembershipEvent(const MembershipEvent& event,
       // tail into the cluster-wide slots so its latency samples survive
       // the departure (the epoch-boundary merge would otherwise lose
       // whatever the window accumulated since the last boundary).
-      // Telemetry bytes follow the sketch-metrics convention: counted
-      // in telemetry/* only, never charged to the NetworkModel.
-      if (sketch_metrics_.enabled) {
-        auto& sketches = obs::SketchHistogramRegistry::Global();
-        const struct {
-          const std::vector<obs::SketchHistogram>* workers;
-          const obs::SketchHistogram* cluster;
-        } lanes[] = {
-            {&sketch_metrics_.worker_compute, &sketch_metrics_.cluster_compute},
-            {&sketch_metrics_.worker_encode, &sketch_metrics_.cluster_encode},
-            {&sketch_metrics_.worker_push, &sketch_metrics_.cluster_push},
-        };
-        for (const auto& lane : lanes) {
-          const std::vector<uint8_t> payload =
-              sketches.DrainTail((*lane.workers)[event.worker]);
-          if (payload.empty()) continue;
-          sketch_metrics_.merges.Increment();
-          sketch_metrics_.merge_bytes.Add(static_cast<double>(payload.size()));
-          const common::Status merged = sketches.MergeSerialized(
-              *lane.cluster, payload.data(), payload.size());
-          if (!merged.ok()) {
-            SKETCHML_LOG(Warning) << "leave-time telemetry merge failed: "
-                                  << merged.ToString();
-          }
-        }
-      }
+      MergeTelemetryTails(event.worker);
       break;
     }
   }
+}
+
+void DistributedTrainer::ChargeHandoff(size_t bytes, EpochStats* stats) {
+  stats->handoff_bytes += bytes;
+  stats->network_seconds += cluster_.network.TransferSeconds(bytes);
+  membership_metrics_.handoff_bytes.Add(static_cast<double>(bytes));
 }
 
 common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
   const int target =
       ActiveServerCount(cluster_.num_servers,
                         static_cast<int>(directory_.active().size()),
-                        initial_workers_);
+                        cluster_.num_workers);
   if (target == active_servers_) return common::Status::Ok();
 
   // Serialize a shard's mergeable state exactly as it would cross the
@@ -1182,22 +1111,13 @@ common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
   const auto merge_blob = [this](const std::vector<uint8_t>& blob,
                                  int dest) -> common::Status {
     common::ByteReader reader(blob);
-    sketch::KllSketch values(/*k=*/256, kShardSketchSeed);
+    sketch::KllSketch values = EmptyShardValues();
     SKETCHML_RETURN_IF_ERROR(
         sketch::KllSketch::Deserialize(&reader, &values, kShardSketchSeed));
-    values.SetInstrumented(false);
     sketch::MinMaxSketch keys(kShardKeyRows, kShardKeyCols, kShardSketchSeed);
     SKETCHML_RETURN_IF_ERROR(sketch::MinMaxSketch::Deserialize(&reader, &keys));
     shard_values_[dest].Merge(values);
     return shard_keys_[dest].Merge(keys);
-  };
-  const auto charge = [&](size_t bytes) {
-    stats->handoff_bytes += bytes;
-    stats->network_seconds +=
-        cluster_.network.TransferSeconds(static_cast<double>(bytes));
-    if (membership_metrics_.churn) {
-      membership_metrics_.handoff_bytes.Add(static_cast<double>(bytes));
-    }
   };
 
   if (target < active_servers_) {
@@ -1207,11 +1127,10 @@ common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
     // shards learned is lost.
     for (int s = target; s < active_servers_; ++s) {
       const std::vector<uint8_t> blob = serialize_shard(s);
-      charge(blob.size());
+      ChargeHandoff(blob.size(), stats);
       SKETCHML_RETURN_IF_ERROR(merge_blob(blob, s % target));
       // Reset the retired shard so a later scale-up starts it fresh.
-      shard_values_[s] = sketch::KllSketch(/*k=*/256, kShardSketchSeed);
-      shard_values_[s].SetInstrumented(false);
+      shard_values_[s] = EmptyShardValues();
       shard_keys_[s] =
           sketch::MinMaxSketch(kShardKeyRows, kShardKeyCols, kShardSketchSeed);
     }
@@ -1221,25 +1140,15 @@ common::Status DistributedTrainer::ReconfigureShards(EpochStats* stats) {
     // state is a superset of what the new shard will serve).
     for (int s = active_servers_; s < target; ++s) {
       const std::vector<uint8_t> blob = serialize_shard(s % active_servers_);
-      charge(blob.size());
+      ChargeHandoff(blob.size(), stats);
       SKETCHML_RETURN_IF_ERROR(merge_blob(blob, s));
     }
   }
   active_servers_ = target;
   ring_.Rebuild(target);
   ++stats->reconfigurations;
-  if (membership_metrics_.churn) {
-    membership_metrics_.reconfigurations.Increment();
-  }
+  membership_metrics_.reconfigurations.Increment();
   return common::Status::Ok();
-}
-
-void DistributedTrainer::UpdateShardState(const common::SparseGradient& grad) {
-  for (const auto& pair : grad) {
-    const int s = ring_.ShardOf(pair.key);
-    shard_values_[s].Update(std::abs(pair.value));
-    shard_keys_[s].Insert(pair.key, MagnitudeBucket(pair.value));
-  }
 }
 
 void DistributedTrainer::BuildCheckpointPayload(
@@ -1339,6 +1248,9 @@ common::Status DistributedTrainer::RestoreFromBlob(
 }
 
 common::Result<std::vector<EpochStats>> DistributedTrainer::Run(int epochs) {
+  if (epochs < 0) {
+    return common::Status::InvalidArgument("Run: epochs must be >= 0");
+  }
   std::vector<EpochStats> all;
   all.reserve(epochs);
   for (int e = 0; e < epochs; ++e) {

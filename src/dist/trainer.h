@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "compress/codec.h"
 #include "dist/fault.h"
 #include "dist/membership.h"
@@ -77,7 +78,9 @@ struct ClusterConfig {
 /// dividing by zero in TransferSeconds.
 common::Status ValidateClusterConfig(const ClusterConfig& cluster);
 
-/// Training-loop knobs (paper protocol, §4.1).
+/// Training-loop knobs (paper protocol, §4.1). RunEpoch/Run return
+/// InvalidArgument unless batch_ratio is in (0, 1], learning_rate (and,
+/// with Adam, adam_epsilon) is finite and > 0, and lambda is finite >= 0.
 struct TrainerConfig {
   double batch_ratio = 0.1;   // Mini-batch = 10 % of the train set.
   double learning_rate = 0.1;
@@ -147,7 +150,8 @@ class DistributedTrainer {
   /// decisions instead of replaying the fatal ones.
   common::Result<EpochStats> RunEpoch();
 
-  /// Runs `epochs` epochs, returning per-epoch stats.
+  /// Runs `epochs` epochs, returning per-epoch stats (InvalidArgument
+  /// when `epochs` < 0).
   common::Result<std::vector<EpochStats>> Run(int epochs);
 
   /// Serializes the trainer's full mutable training state — epoch/batch
@@ -191,8 +195,34 @@ class DistributedTrainer {
   }
 
   /// One epoch, no rollback handling (RunEpoch wraps this with the
-  /// checkpoint-based retry loop).
+  /// checkpoint-based retry loop). A short driver over the per-batch
+  /// stages below, in order: fleet -> workers (compute, split by shard,
+  /// encode, deliver; decode on behalf of the owning server) -> reduce ->
+  /// aggregate and apply -> broadcast; then the epoch end.
   common::Result<EpochStats> RunEpochAttempt();
+  struct WorkerResult;  // One executor's share of a batch.
+  std::vector<WorkerResult> RunWorkers(size_t batch_start, size_t batch_end,
+                                       const obs::SpanContext& batch_ctx);
+  WorkerResult RunWorker(int w, size_t lo, size_t hi,
+                         const obs::SpanContext& batch_ctx);
+  common::Status DeliverShard(int s, const compress::EncodedGradient& msg,
+                              const common::SparseGradient& sent, bool traced,
+                              WorkerResult* r);
+  common::Result<int> ReduceResults(const std::vector<WorkerResult>& results,
+                                    uint64_t* total_nnz, EpochStats* stats);
+  common::SparseGradient AggregateAndApply(
+      const std::vector<WorkerResult>& results, int contributing,
+      EpochStats* stats);
+  common::Status BroadcastUpdate(common::SparseGradient update, int workers,
+                                 EpochStats* stats);
+  common::Status FinishEpoch(uint64_t total_nnz, EpochStats* stats);
+
+  /// Splits a key-sorted gradient by owning server shard.
+  std::vector<common::SparseGradient> SplitByShard(
+      common::SparseGradient grad) const;
+
+  void MergeTelemetryTails(int leaver);  // Every worker's when leaver < 0.
+  void RegisterMetrics(int fleet);
 
   /// Serializes trainer state into the (unframed) checkpoint payload.
   void BuildCheckpointPayload(std::vector<uint8_t>* payload) const;
@@ -211,21 +241,21 @@ class DistributedTrainer {
   /// go to telemetry/* counters only.
   void ApplyMembershipEvent(const MembershipEvent& event, EpochStats* stats);
 
+  /// Charges `bytes` of membership protocol traffic (codec-lane or shard
+  /// state handed off) to the epoch's stats and the NetworkModel.
+  void ChargeHandoff(size_t bytes, EpochStats* stats);
+
   /// Epoch-boundary shard re-partitioning: recomputes the active server
   /// count from the fleet size and, when it changed, hands mergeable
   /// sketch state shard-to-shard (serialize → transfer → merge, bytes
   /// charged to the NetworkModel) and rebuilds the consistent-hash ring.
   common::Status ReconfigureShards(EpochStats* stats);
 
-  /// Feeds the batch's aggregated gradient into the owning shards'
-  /// mergeable state (KLL over |value|, MinMaxSketch key->bucket cache).
-  void UpdateShardState(const common::SparseGradient& grad);
-
-  /// Per-entity labeled counters, resolved once at construction when
-  /// metrics are enabled. Values are published from the driver's
-  /// fixed-order reduce loop with the same scale factors EpochStats uses,
-  /// so the per-entity slices reconcile exactly with the aggregate
-  /// "trainer/*_seconds" counters:
+  /// Per-entity labeled counters, resolved once at construction (inert
+  /// no-op handles unless metrics were on then). Values are published
+  /// from the driver's fixed-order reduce loop with the same scale
+  /// factors EpochStats uses, so the per-entity slices reconcile exactly
+  /// with the aggregate "trainer/*_seconds" counters:
   ///   compute = Σ_w worker_seconds{worker=w,phase=compute}
   ///   encode  = Σ_w worker_seconds{worker=w,phase=encode}
   ///             + driver_seconds{phase=encode}
@@ -237,7 +267,6 @@ class DistributedTrainer {
   /// (network takes the max of these per batch, so gather slices bound —
   /// rather than sum to — the network total).
   struct EntityMetrics {
-    bool enabled = false;
     std::vector<obs::Counter> worker_compute;       // {worker=w,phase=compute}
     std::vector<obs::Counter> worker_encode;        // {worker=w,phase=encode}
     std::vector<obs::Counter> worker_recovery_err;  // recovery_error_l1
@@ -266,15 +295,15 @@ class DistributedTrainer {
   /// "modeled" in its name: deterministic for a fixed seed, so the SLO
   /// gate can diff its quantiles across runs even under --ignore-times.
   struct SketchTelemetry {
-    bool enabled = false;
-    // trainer/compute_latency_seconds{worker=w} etc.
-    std::vector<obs::SketchHistogram> worker_compute;
-    std::vector<obs::SketchHistogram> worker_encode;
-    std::vector<obs::SketchHistogram> worker_push;  // push_modeled_seconds
-    // Cluster-wide merged slots (same base names, no labels).
-    obs::SketchHistogram cluster_compute;
-    obs::SketchHistogram cluster_encode;
-    obs::SketchHistogram cluster_push;
+    // One lane per distribution: a sketch per worker ({worker=w}) and
+    // the cluster-wide slot they merge into (same base name, no labels).
+    struct Lane {
+      std::vector<obs::SketchHistogram> workers;
+      obs::SketchHistogram cluster;
+    };
+    Lane compute;  // trainer/compute_latency_seconds
+    Lane encode;   // trainer/encode_latency_seconds
+    Lane push;     // trainer/push_modeled_seconds
     obs::Counter merges;       // telemetry/merges
     obs::Counter merge_bytes;  // telemetry/merge_bytes
   };
@@ -286,8 +315,6 @@ class DistributedTrainer {
   /// bit-identical to a build without the membership layer. Published
   /// from the driver loop only.
   struct MembershipMetrics {
-    bool churn = false;        // membership/* churn counters live.
-    bool checkpoints = false;  // checkpoint/rollback counters live.
     obs::Counter joins;             // membership/events{kind=join}
     obs::Counter leaves;            // membership/events{kind=leave}
     obs::Counter departs;           // membership/events{kind=depart}
@@ -300,11 +327,10 @@ class DistributedTrainer {
     obs::Counter checkpoint_bytes;  // membership/checkpoint_bytes
   };
 
-  /// Fault-path counters, resolved at construction only when the plan is
-  /// active and metrics are on. Published from the driver's fixed-order
-  /// reduce loop (single writer), never from worker threads.
+  /// Fault-path counters, registered only when the plan is active and
+  /// metrics are on. Published from the driver's fixed-order reduce loop
+  /// (single writer), never from worker threads.
   struct FaultMetrics {
-    bool enabled = false;
     // fault/injected{kind=...,worker=w} per kind, net/* per worker.
     std::vector<obs::Counter> injected_drop;
     std::vector<obs::Counter> injected_corrupt;   // {kind=corrupt,worker=w}
@@ -335,19 +361,21 @@ class DistributedTrainer {
   SketchTelemetry sketch_metrics_;
   FaultMetrics fault_metrics_;
   MembershipMetrics membership_metrics_;
-  /// Non-OK when the ClusterConfig failed validation; RunEpoch returns
-  /// this instead of training (the constructor cannot return a Status).
+  /// Metrics were on at construction: gates the work that only feeds
+  /// metrics (the recovery-error walk, the telemetry-sketch merges).
+  bool metrics_on_ = false;
+  /// Non-OK when the ClusterConfig or TrainerConfig failed validation;
+  /// RunEpoch returns this instead of training (the constructor cannot
+  /// return a Status).
   common::Status init_status_;
   FaultInjector injector_;
   bool faults_active_ = false;
   bool membership_active_ = false;
-  bool checkpoints_enabled_ = false;
   /// Membership state machine; initialized for every run (with an
   /// inactive plan it pins the identity fleet 0..num_workers-1, so
   /// `directory_.active()` is THE worker-id list on both paths).
   MembershipDirectory directory_;
   ShardRing ring_;             // Rebuilt on every shard-count change.
-  int initial_workers_ = 0;    // cluster_.num_workers at construction.
   int active_servers_ = 0;     // Shards currently owning key ranges.
   /// Per-shard mergeable aggregation state (membership-active only):
   /// a KLL sketch of |aggregated gradient| values and a MinMaxSketch

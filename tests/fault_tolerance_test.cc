@@ -326,6 +326,54 @@ TEST(FaultToleranceTest, QuorumFailureReturnsUnavailable) {
   EXPECT_EQ(result.status().code(), common::StatusCode::kUnavailable);
 }
 
+TEST(FaultToleranceTest, CorruptionTruncatedToEmptyIsLost) {
+  // Corrupt sometimes truncates a frame to a hashed prefix, and that
+  // prefix can be empty. Zero bytes is a corrupted arrival like any
+  // other: it fails validation and, with no retry left, the message is
+  // lost. A tiny full-batch run with one worker and one shard sends one
+  // short frame per epoch, so a seed that empties it is quick to find.
+  ml::SyntheticConfig data;
+  data.num_instances = 16;
+  data.dim = 32;
+  data.avg_nnz = 3;
+  data.seed = 3;
+  const ml::Dataset train = ml::GenerateSynthetic(data);
+  const std::unique_ptr<ml::Loss> loss = ml::MakeLoss("lr");
+  TrainerConfig config;
+  config.batch_ratio = 1.0;
+  auto run_batch = [&](const ClusterConfig& cluster) {
+    DistributedTrainer trainer(&train, nullptr, loss.get(),
+                               std::move(core::MakeCodec("adam-double")).value(),
+                               cluster, config);
+    return trainer.RunEpoch();
+  };
+  // An active plan that never fires measures the frame's size.
+  ClusterConfig cluster;
+  cluster.num_workers = 1;
+  cluster.faults.drop_prob = 1e-15;
+  auto quiet = run_batch(cluster);
+  ASSERT_TRUE(quiet.ok()) << quiet.status().ToString();
+  ASSERT_EQ(quiet->messages, 1u);
+  const size_t frame_bytes = quiet->bytes_up;
+
+  FaultPlan plan;
+  plan.corrupt_prob = 1.0;  // Every attempt arrives corrupted...
+  plan.max_retries = 0;     // ...and is never resent.
+  std::vector<uint8_t> wire;
+  for (plan.seed = 1; plan.seed < 100000; ++plan.seed) {
+    wire.assign(frame_bytes, 0xab);
+    FaultInjector(plan).Corrupt(&wire, /*batch=*/0, /*worker=*/0,
+                                /*server=*/0, /*attempt=*/0);
+    if (wire.empty()) break;
+  }
+  ASSERT_TRUE(wire.empty()) << "no seed empties a " << frame_bytes
+                            << "-byte frame";
+  cluster.faults = plan;
+  auto run = run_batch(cluster);
+  ASSERT_FALSE(run.ok()) << "the emptied frame was delivered";
+  EXPECT_EQ(run.status().code(), common::StatusCode::kUnavailable);
+}
+
 TEST(FaultToleranceTest, CrashedWorkersDegradeButTrainingContinues) {
   Fixture f;
   ClusterConfig cluster;

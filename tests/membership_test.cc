@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "compress/raw_codec.h"
 #include "core/codec_factory.h"
 #include "dist/membership.h"
 #include "dist/trainer.h"
@@ -498,6 +501,72 @@ TEST(ElasticMembershipTest, JoinersPayWeightSyncBytes) {
   ASSERT_GT(total.joins, 0u);
   // Every join syncs the current dense weights (8 bytes per dimension).
   EXPECT_GE(total.sync_bytes, total.joins * 8u * (1u << 14));
+}
+
+/// Raw doubles, except that every worker-lane (forked) Decode first
+/// sleeps a fixed time, which puts a floor under measured decode seconds.
+/// The root instance, which the driver broadcasts with, does not sleep.
+class SlowDecodeCodec : public compress::GradientCodec {
+ public:
+  static constexpr std::chrono::milliseconds kSleep{2};
+
+  explicit SlowDecodeCodec(bool sleeps) : sleeps_(sleeps) {}
+  std::string Name() const override { return "slow-decode"; }
+  bool IsLossless() const override { return true; }
+  std::unique_ptr<GradientCodec> Fork(uint64_t /*lane*/) const override {
+    return std::make_unique<SlowDecodeCodec>(true);
+  }
+
+ protected:
+  common::Status EncodeImpl(const common::SparseGradient& grad,
+                            compress::EncodedGradient* out) override {
+    return raw_.Encode(grad, out);
+  }
+  common::Status DecodeImpl(const compress::EncodedGradient& in,
+                            common::SparseGradient* out) override {
+    if (sleeps_) std::this_thread::sleep_for(kSleep);
+    return raw_.Decode(in, out);
+  }
+
+ private:
+  bool sleeps_;
+  compress::RawCodec raw_;
+};
+
+TEST(ElasticMembershipTest, DecodeTimeIsSplitOverActiveServers) {
+  // Servers decode in parallel, so a batch's decode time is the summed
+  // per-message decode over the shards that own keys. After a scale-down
+  // that is the active shard count, not the configured one: departures
+  // take the fleet from 4 workers to 2 in the first batch, and the next
+  // epoch re-partitions 4 shards down to 2.
+  Fixture f;
+  ClusterConfig cluster;
+  cluster.num_workers = 4;
+  cluster.num_servers = 4;
+  cluster.membership.depart_prob = 1.0;
+  cluster.membership.min_workers = 2;
+  TrainerConfig config;
+  config.learning_rate = 0.05;
+  config.adam_epsilon = 0.01;
+  config.evaluate_test_loss = false;
+  DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                             std::make_unique<SlowDecodeCodec>(false),
+                             cluster, config);
+  auto first = trainer.RunEpoch();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(trainer.active_workers(), 2);
+  const int active_servers = ActiveServerCount(4, 2, 4);
+  ASSERT_EQ(active_servers, 2);
+
+  auto second = trainer.RunEpoch();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->reconfigurations, 1u);
+  ASSERT_GT(second->messages, 0u);
+  const double sleep_seconds =
+      std::chrono::duration<double>(SlowDecodeCodec::kSleep).count();
+  const double floor = 0.9 * static_cast<double>(second->messages) *
+                       sleep_seconds / active_servers;
+  EXPECT_GE(second->decode_seconds, floor);
 }
 
 }  // namespace

@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "common/metrics_registry.h"
+#include "common/obs.h"
 #include "core/codec_factory.h"
 #include "dist/network_model.h"
 #include "ml/loss.h"
@@ -249,6 +259,305 @@ TEST(TrainerTest, SingleServerMatchesLegacyMessageCount) {
   auto result = trainer.RunEpoch();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->messages, 40u);  // 4 workers x 10 batches.
+}
+
+// ---------------------------------------------------------------------------
+// TrainerConfig validation: bad knobs surface as InvalidArgument from
+// RunEpoch/Run instead of training on garbage.
+
+/// Expects a trainer built with `config` to refuse to train.
+void ExpectRejected(const Fixture& f, const TrainerConfig& config) {
+  ClusterConfig cluster;
+  cluster.num_workers = 2;
+  DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                             Codec("adam-double"), cluster, config);
+  auto result = trainer.RunEpoch();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument)
+      << result.status().ToString();
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(TrainerConfigValidationTest, RejectsBatchRatioOutsideUnitInterval) {
+  Fixture f;
+  for (double ratio : {kNaN, -0.5, 0.0, 1.5, kInf}) {
+    SCOPED_TRACE(ratio);
+    TrainerConfig config;
+    config.batch_ratio = ratio;
+    ExpectRejected(f, config);
+  }
+}
+
+TEST(TrainerConfigValidationTest, RejectsNonPositiveLearningRate) {
+  Fixture f;
+  for (double rate : {kNaN, 0.0, -0.1, kInf}) {
+    SCOPED_TRACE(rate);
+    TrainerConfig config;
+    config.learning_rate = rate;
+    ExpectRejected(f, config);
+  }
+}
+
+TEST(TrainerConfigValidationTest, RejectsNegativeOrNonFiniteLambda) {
+  Fixture f;
+  for (double lambda : {kNaN, -0.01, kInf}) {
+    SCOPED_TRACE(lambda);
+    TrainerConfig config;
+    config.lambda = lambda;
+    ExpectRejected(f, config);
+  }
+}
+
+TEST(TrainerConfigValidationTest, RejectsNonPositiveAdamEpsilon) {
+  Fixture f;
+  for (double epsilon : {kNaN, 0.0, -1e-8, kInf}) {
+    SCOPED_TRACE(epsilon);
+    TrainerConfig config;
+    config.adam_epsilon = epsilon;
+    ExpectRejected(f, config);
+  }
+}
+
+TEST(TrainerConfigValidationTest, SgdIgnoresAdamEpsilon) {
+  Fixture f;
+  TrainerConfig config;
+  config.use_adam = false;
+  config.adam_epsilon = kNaN;
+  ClusterConfig cluster;
+  cluster.num_workers = 2;
+  DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                             Codec("adam-double"), cluster, config);
+  EXPECT_TRUE(trainer.RunEpoch().ok());
+}
+
+TEST(TrainerConfigValidationTest, RunRejectsNegativeEpochs) {
+  Fixture f;
+  ClusterConfig cluster;
+  cluster.num_workers = 2;
+  DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                             Codec("adam-double"), cluster, TrainerConfig());
+  auto result = trainer.Run(-1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(trainer.epochs_run(), 0);
+  auto none = trainer.Run(0);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+}
+
+TEST(TrainerConfigValidationTest, FullBatchRatioStillRuns) {
+  // batch_ratio = 1.0 is the closed end of (0, 1]: one batch per epoch.
+  Fixture f;
+  TrainerConfig config;
+  config.batch_ratio = 1.0;
+  ClusterConfig cluster;
+  cluster.num_workers = 2;
+  DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                             Codec("adam-double"), cluster, config);
+  auto result = trainer.RunEpoch();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_batches, 1u);
+  EXPECT_EQ(result->messages, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Output pin: an FNV-1a digest over everything deterministic a run emits.
+
+/// FNV-1a (64-bit) over little-endian field bytes.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, size_t size) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 1099511628211ULL;
+    }
+  }
+  void U64(uint64_t value) { Bytes(&value, sizeof(value)); }
+  void F64(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    U64(bits);
+  }
+  void Str(std::string_view s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ULL;
+};
+
+struct DigestCase {
+  const char* name;
+  ClusterConfig cluster;
+  int epochs;
+  uint64_t plain;  // Stats + final weights.
+  uint64_t obs;    // The same run with metrics on, plus its metric fold.
+};
+
+std::vector<DigestCase> DigestCases() {
+  std::vector<DigestCase> cases;
+  ClusterConfig one;
+  one.num_workers = 4;
+  cases.push_back({"fault-free, 1 server", one, 2,
+                   0xe62231889864d300ULL, 0x53f0068dddc68b26ULL});
+
+  ClusterConfig three = one;
+  three.num_servers = 3;
+  cases.push_back({"fault-free, 3 servers", three, 2,
+                   0x3fae1f06c3fc39d8ULL, 0xd0cf730e704d5da4ULL});
+
+  ClusterConfig faulty = one;
+  faulty.num_servers = 2;
+  faulty.faults.seed = 2;
+  faulty.faults.drop_prob = 0.15;
+  faulty.faults.corrupt_prob = 0.15;
+  faulty.faults.straggle_prob = 0.1;
+  faulty.faults.crash_prob = 0.03;
+  faulty.faults.stall_prob = 0.1;
+  faulty.faults.max_retries = 1;
+  faulty.faults.min_quorum = 2;
+  cases.push_back({"faults, degraded quorum, 2 servers", faulty, 2,
+                   0x560fc4a0c2f8420cULL, 0xca8baeadf8236106ULL});
+
+  ClusterConfig elastic = one;
+  elastic.num_servers = 4;
+  elastic.membership.seed = 5;
+  elastic.membership.join_prob = 0.05;
+  elastic.membership.leave_prob = 0.05;
+  elastic.membership.depart_prob = 0.02;
+  elastic.membership.max_workers = 6;
+  elastic.membership.min_workers = 2;
+  elastic.membership.checkpoint_every = 1;
+  elastic.membership.max_rollbacks = 4;
+  elastic.faults.seed = 4;
+  elastic.faults.crash_prob = 0.08;
+  elastic.faults.min_quorum = 2;
+  cases.push_back({"churn, checkpoints, rollback", elastic, 4,
+                   0xf53abc2cfb038ba1ULL, 0x7de1c0949c04ba42ULL});
+  return cases;
+}
+
+/// Folds every integer EpochStats field, the bit patterns of the losses
+/// and the mean nnz, and the final weights of one run. Measured seconds
+/// are left out: they are wall time. Also sums the stats into `total`
+/// so callers can check the case exercised what it claims to.
+uint64_t RunDigest(const Fixture& f, const DigestCase& c, int threads,
+                   EpochStats* total) {
+  TrainerConfig config;
+  config.learning_rate = 0.05;
+  config.adam_epsilon = 0.01;
+  config.num_threads = threads;
+  DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
+                             Codec("sketchml"), c.cluster, config);
+  auto run = trainer.Run(c.epochs);
+  EXPECT_TRUE(run.ok()) << c.name << ": " << run.status().ToString();
+  if (!run.ok()) return 0;
+  Fnv1a h;
+  for (const EpochStats& s : *run) {
+    for (uint64_t field :
+         {static_cast<uint64_t>(s.epoch), s.bytes_up, s.bytes_down,
+          s.messages, s.injected_faults, s.retries, s.retransmit_bytes,
+          s.lost_messages, s.degraded_batches, s.joins, s.leaves, s.departs,
+          s.handoff_bytes, s.sync_bytes, s.reconfigurations, s.rollbacks,
+          s.checkpoint_bytes, static_cast<uint64_t>(s.num_batches)}) {
+      h.U64(field);
+    }
+    h.F64(s.train_loss);
+    h.F64(s.test_loss);
+    h.F64(s.avg_gradient_nnz);
+  }
+  for (double w : trainer.optimizer().weights()) h.F64(w);
+  *total = Aggregate(*run);
+  return h.value();
+}
+
+/// Folds the name and value bits of every nonzero counter or gauge in
+/// the families whose values are modeled rather than measured: fault and
+/// retry accounting, membership, per-shard gather bytes, recovery error
+/// and the quorum gauge. Zero values are skipped (as in metric dumps), so
+/// the fold depends only on this run, not on what earlier runs in the
+/// process registered.
+uint64_t MetricDigest(const obs::MetricsSnapshot& snap) {
+  const auto pinned = [](const std::string& name) {
+    for (const char* prefix :
+         {"fault/", "net/", "membership/", "trainer/gather_bytes",
+          "trainer/recovery_", "trainer/quorum"}) {
+      if (name.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+  };
+  std::vector<std::pair<std::string, double>> values;
+  for (const auto& c : snap.counters) {
+    if (pinned(c.name) && c.value != 0.0) values.emplace_back(c.name, c.value);
+  }
+  for (const auto& g : snap.gauges) {
+    if (pinned(g.name) && g.value != 0.0) values.emplace_back(g.name, g.value);
+  }
+  std::sort(values.begin(), values.end());
+  Fnv1a h;
+  for (const auto& [name, value] : values) {
+    h.Str(name);
+    h.F64(value);
+  }
+  return h.value();
+}
+
+bool IsFaultOrMembershipName(const std::string& name) {
+  for (const char* prefix :
+       {"fault/", "net/", "membership/", "trainer/quorum"}) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST(TrainerTest, EpochDigestIsPinned) {
+  // Any change to bytes, losses, weights, fault or membership accounting
+  // on these four paths moves a digest. Every case must give the same
+  // digest at 1 and 4 threads, and with metrics on or off.
+  Fixture f;
+  const bool was_enabled = obs::MetricsEnabled();
+  for (const DigestCase& c : DigestCases()) {
+    for (int threads : {1, 4}) {
+      EpochStats total;
+      EXPECT_EQ(RunDigest(f, c, threads, &total), c.plain)
+          << c.name << " at " << threads << " threads";
+      if (c.cluster.faults.drop_prob > 0.0) {
+        EXPECT_GT(total.degraded_batches, 0u) << c.name;
+        EXPECT_GT(total.retries, 0u) << c.name;
+      }
+      if (c.cluster.membership.Active()) {
+        EXPECT_GT(total.reconfigurations, 0u) << c.name;
+        EXPECT_GT(total.rollbacks, 0u) << c.name;
+        EXPECT_GT(total.checkpoint_bytes, 0u) << c.name;
+      }
+
+      obs::SetMetricsEnabled(true);
+      obs::MetricsRegistry::Global().Reset();
+      Fnv1a h;
+      h.U64(RunDigest(f, c, threads, &total));
+      const auto snap = obs::MetricsRegistry::Global().Snapshot();
+      h.U64(MetricDigest(snap));
+      if (!c.cluster.faults.Active() && !c.cluster.membership.Active()) {
+        // The fault-free cases run first, and no other case in this
+        // binary enables faults or churn, so a fault or membership name
+        // registered by now was registered by a run with the layer off.
+        for (const auto& counter : snap.counters) {
+          EXPECT_FALSE(IsFaultOrMembershipName(counter.name)) << counter.name;
+        }
+        for (const auto& gauge : snap.gauges) {
+          EXPECT_FALSE(IsFaultOrMembershipName(gauge.name)) << gauge.name;
+        }
+      }
+      obs::MetricsRegistry::Global().Reset();
+      obs::SetMetricsEnabled(was_enabled);
+      EXPECT_EQ(h.value(), c.obs)
+          << c.name << " with metrics on at " << threads << " threads";
+    }
+  }
 }
 
 TEST(EpochStatsTest, AggregateSums) {

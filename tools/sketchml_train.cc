@@ -156,6 +156,9 @@ int main(int argc, char** argv) {
   for (const auto* result : {&batch_ratio, &lr, &adam_eps, &net_scale}) {
     if (!result->ok()) return Fail(result->status());
   }
+  if (*epochs < 0) {
+    return Fail(common::Status::InvalidArgument("--epochs must be >= 0"));
+  }
   for (const auto& unused : flags.UnusedFlags()) {
     std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
                  unused.c_str());
