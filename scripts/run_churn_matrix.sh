@@ -52,8 +52,13 @@ fi
 echo "== join/leave churn: replay determinism across --threads =="
 churn_flags=(--membership-seed=7 --membership-join=0.05
   --membership-leave=0.05 --membership-min-workers=2)
-serial="$("$train_bin" "${base_flags[@]}" --threads=1 "${churn_flags[@]}" 2>&1)"
-threaded="$("$train_bin" "${base_flags[@]}" --threads=3 "${churn_flags[@]}" 2>&1)"
+# --obs=off: under SKETCHML_OBS=trace the run also prints measured
+# latency and timing lines (codec/*_ns, threadpool/task_*_ns,
+# trainer/*_latency_seconds) that no two runs share; pinning obs off keeps
+# every remaining line comparable exactly.
+replay_flags=(--obs=off "${churn_flags[@]}")
+serial="$("$train_bin" "${base_flags[@]}" --threads=1 "${replay_flags[@]}" 2>&1)"
+threaded="$("$train_bin" "${base_flags[@]}" --threads=3 "${replay_flags[@]}" 2>&1)"
 # Column 2 of the epoch table is measured sim-seconds and the dataset
 # banner names the thread count; every other field (bytes, losses, and
 # the membership summary) must replay exactly.

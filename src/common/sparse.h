@@ -30,6 +30,21 @@ inline void SortByKey(SparseGradient* grad) {
             });
 }
 
+/// Sums the values of equal keys: the sparse-gradient reduction that
+/// worker gradients and server aggregation both perform.
+///
+/// `pairs` holds pairs in contribution order, every key in
+/// `[lo, lo + span)`. On return it holds one pair per distinct key in
+/// ascending key order. Each sum starts at +0.0 and adds that key's values
+/// in input order, exactly as `map[key] += value` does, so every result is
+/// bit-identical to a hash-map accumulation followed by `SortByKey`
+/// (a lone -0.0 comes out as +0.0; NaN and infinities propagate).
+///
+/// A stable LSD radix sort on `key - lo` with 11-bit digits takes
+/// ceil(bit_width(span - 1) / 11) passes; memory is linear in the number
+/// of pairs, independent of `span`.
+void SumByKey(uint64_t lo, uint64_t span, SparseGradient* pairs);
+
 /// True if keys are strictly increasing (the codec precondition).
 inline bool IsSortedByKey(const SparseGradient& grad) {
   for (size_t i = 1; i < grad.size(); ++i) {

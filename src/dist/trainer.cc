@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/byte_buffer.h"
@@ -588,6 +586,17 @@ common::Status DistributedTrainer::DeliverShard(
       if (!faults_active_) return received;
       continue;
     }
+    // Keys index the model unchecked downstream (aggregation, optimizer).
+    // Framing has already ruled out damage in flight, so a key outside
+    // the model is a codec error that no retry can mend.
+    for (const auto& pair : decoded) {
+      if (pair.key >= train_->dim()) {
+        return common::Status::CorruptedData(
+            "worker " + std::to_string(w) + " shard " + std::to_string(s) +
+            ": decoded gradient key " + std::to_string(pair.key) +
+            " outside model dim " + std::to_string(train_->dim()));
+      }
+    }
     if (metrics_on_) {
       AccumulateRecovery(sent, decoded, &r->recovery_error_l1,
                          &r->recovery_ref_l1);
@@ -742,32 +751,24 @@ common::SparseGradient DistributedTrainer::AggregateAndApply(
     // free, every worker contributes and this is the usual mean.
     const double inv_workers = 1.0 / static_cast<double>(contributing);
     const auto aggregate_slice = [&](uint64_t lo, uint64_t hi) {
-      std::unordered_map<uint64_t, double> sums;
+      common::SparseGradient slice;
       for (const WorkerResult& r : results) {
         if (!r.contributes) continue;
         for (const auto& pair : r.decoded) {
-          if (pair.key >= lo && pair.key < hi) sums[pair.key] += pair.value;
+          if (pair.key >= lo && pair.key < hi) slice.push_back(pair);
         }
       }
-      common::SparseGradient slice;
-      slice.reserve(sums.size());
-      for (const auto& [key, value] : sums) {
-        slice.push_back({key, value * inv_workers});
-      }
-      common::SortByKey(&slice);
+      common::SumByKey(lo, hi - lo, &slice);
+      for (auto& pair : slice) pair.value *= inv_workers;
       return slice;
     };
+    // DeliverShard admits only keys < dim, so the slices tile [0, dim).
     const uint64_t dim = std::max<uint64_t>(1, train_->dim());
     const uint64_t slices =
         pool_ ? std::min(dim, static_cast<uint64_t>(4 * num_threads_)) : 1;
     for (const common::SparseGradient& slice :
          MapTasks(pool_.get(), slices, [&](uint64_t s) {
-           // The last slice takes [lo, 2^64): a stray out-of-range key
-           // lands there at any slice count.
-           return aggregate_slice(dim * s / slices,
-                                  s + 1 == slices
-                                      ? std::numeric_limits<uint64_t>::max()
-                                      : dim * (s + 1) / slices);
+           return aggregate_slice(dim * s / slices, dim * (s + 1) / slices);
          })) {
       mean_grad.insert(mean_grad.end(), slice.begin(), slice.end());
     }

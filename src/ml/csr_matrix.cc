@@ -1,8 +1,7 @@
 #include "ml/csr_matrix.h"
 
-#include <unordered_map>
-
 #include "common/logging.h"
+#include "ml/gradient.h"
 
 namespace sketchml::ml {
 
@@ -46,8 +45,10 @@ common::SparseGradient ComputeBatchGradientCsr(const Loss& loss,
                                                double lambda) {
   SKETCHML_CHECK_LE(begin, end);
   SKETCHML_CHECK_LE(end, matrix.rows());
-  std::unordered_map<uint32_t, double> acc;
-  acc.reserve((end - begin) * 8);
+  size_t max_pairs = 0;
+  for (size_t row = begin; row < end; ++row) max_pairs += matrix.Row(row).nnz;
+  common::SparseGradient grad;
+  grad.reserve(max_pairs);
   const double inv_batch = end > begin ? 1.0 / (end - begin) : 0.0;
   for (size_t row = begin; row < end; ++row) {
     const double margin = matrix.RowDot(row, w);
@@ -56,16 +57,12 @@ common::SparseGradient ComputeBatchGradientCsr(const Loss& loss,
     if (scale == 0.0) continue;
     const CsrMatrix::RowView view = matrix.Row(row);
     for (size_t i = 0; i < view.nnz; ++i) {
-      acc[view.indices[i]] += scale * static_cast<double>(view.values[i]);
+      grad.push_back(
+          {view.indices[i], scale * static_cast<double>(view.values[i])});
     }
   }
-  common::SparseGradient grad;
-  grad.reserve(acc.size());
-  for (const auto& [key, value] : acc) {
-    const double with_reg = value + lambda * w[key];
-    if (with_reg != 0.0) grad.push_back({key, with_reg});
-  }
-  common::SortByKey(&grad);
+  common::SumByKey(0, matrix.cols(), &grad);
+  AddLazyL2(w, lambda, &grad);
   return grad;
 }
 

@@ -1,10 +1,18 @@
 #include "ml/gradient.h"
 
-#include <unordered_map>
-
 #include "common/logging.h"
 
 namespace sketchml::ml {
+
+void AddLazyL2(const DenseVector& w, double lambda,
+               common::SparseGradient* grad) {
+  size_t out = 0;
+  for (const auto& [key, value] : *grad) {
+    const double with_reg = value + lambda * w[key];
+    if (with_reg != 0.0) (*grad)[out++] = {key, with_reg};
+  }
+  grad->resize(out);
+}
 
 common::SparseGradient ComputeBatchGradient(const Loss& loss,
                                             const DenseVector& w,
@@ -12,25 +20,23 @@ common::SparseGradient ComputeBatchGradient(const Loss& loss,
                                             size_t end, double lambda) {
   SKETCHML_CHECK_LE(begin, end);
   SKETCHML_CHECK_LE(end, data.size());
-  std::unordered_map<uint32_t, double> acc;
-  acc.reserve((end - begin) * 8);
+  const auto& rows = data.instances();
+  size_t max_pairs = 0;
+  for (size_t i = begin; i < end; ++i) max_pairs += rows[i].features.size();
+  common::SparseGradient grad;
+  grad.reserve(max_pairs);
   const double inv_batch = end > begin ? 1.0 / (end - begin) : 0.0;
   for (size_t i = begin; i < end; ++i) {
-    const Instance& x = data.instances()[i];
+    const Instance& x = rows[i];
     const double margin = Dot(w, x);
     const double scale = loss.PointGradientScale(margin, x.label) * inv_batch;
     if (scale == 0.0) continue;
     for (const auto& f : x.features) {
-      acc[f.index] += scale * static_cast<double>(f.value);
+      grad.push_back({f.index, scale * static_cast<double>(f.value)});
     }
   }
-  common::SparseGradient grad;
-  grad.reserve(acc.size());
-  for (const auto& [key, value] : acc) {
-    const double with_reg = value + lambda * w[key];
-    if (with_reg != 0.0) grad.push_back({key, with_reg});
-  }
-  common::SortByKey(&grad);
+  common::SumByKey(0, data.dim(), &grad);
+  AddLazyL2(w, lambda, &grad);
   return grad;
 }
 

@@ -22,6 +22,11 @@ common::SparseGradient ComputeBatchGradient(const Loss& loss,
                                             const Dataset& data, size_t begin,
                                             size_t end, double lambda);
 
+/// Adds the lazy ℓ2 term `lambda * w_k` to each summed data term of `grad`
+/// and drops the pairs that come out exactly zero.
+void AddLazyL2(const DenseVector& w, double lambda,
+               common::SparseGradient* grad);
+
 /// Mean loss of `w` over all of `data` plus the ℓ2 penalty
 /// (lambda/2)||w||^2 evaluated over touched dimensions of the dataset.
 double ComputeMeanLoss(const Loss& loss, const DenseVector& w,

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "compress/raw_codec.h"
 #include "core/codec_factory.h"
 #include "dist/fault.h"
 #include "dist/trainer.h"
@@ -372,6 +374,70 @@ TEST(FaultToleranceTest, CorruptionTruncatedToEmptyIsLost) {
   auto run = run_batch(cluster);
   ASSERT_FALSE(run.ok()) << "the emptied frame was delivered";
   EXPECT_EQ(run.status().code(), common::StatusCode::kUnavailable);
+}
+
+/// Raw doubles, except that every worker-lane (forked) Decode moves its
+/// last key to `dim`, one past the model: a codec bug that no framing
+/// catches. The root instance, which the driver broadcasts with, decodes
+/// faithfully.
+class KeyPastDimCodec : public compress::GradientCodec {
+ public:
+  KeyPastDimCodec(uint64_t dim, bool shifts) : dim_(dim), shifts_(shifts) {}
+  std::string Name() const override { return "key-past-dim"; }
+  bool IsLossless() const override { return false; }
+  std::unique_ptr<GradientCodec> Fork(uint64_t /*lane*/) const override {
+    return std::make_unique<KeyPastDimCodec>(dim_, true);
+  }
+
+ protected:
+  common::Status EncodeImpl(const common::SparseGradient& grad,
+                            compress::EncodedGradient* out) override {
+    return raw_.Encode(grad, out);
+  }
+  common::Status DecodeImpl(const compress::EncodedGradient& in,
+                            common::SparseGradient* out) override {
+    SKETCHML_RETURN_IF_ERROR(raw_.Decode(in, out));
+    if (shifts_ && !out->empty()) out->back().key = dim_;
+    return common::Status::Ok();
+  }
+
+ private:
+  uint64_t dim_;
+  bool shifts_;
+  compress::RawCodec raw_;
+};
+
+TEST(FaultToleranceTest, DecodedKeyPastModelDimFailsTheEpoch) {
+  // The server must not hand a key >= dim to aggregation and the
+  // optimizer, which index the model unchecked. It is a codec error, not
+  // damage in flight, so neither the null policy nor an active retry
+  // policy retries it or counts the message lost: the epoch fails.
+  Fixture f;
+  const uint64_t dim = f.train->dim();
+  for (const bool faults : {false, true}) {
+    for (const int threads : {1, 4}) {
+      ClusterConfig cluster;
+      cluster.num_workers = 4;
+      cluster.num_servers = 2;
+      if (faults) {
+        cluster.faults.drop_prob = 1e-15;  // Active, never fires.
+        cluster.faults.max_retries = 3;
+      }
+      TrainerConfig config;
+      config.num_threads = threads;
+      DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
+                                 std::make_unique<KeyPastDimCodec>(dim, false),
+                                 cluster, config);
+      auto result = trainer.RunEpoch();
+      ASSERT_FALSE(result.ok()) << "faults=" << faults << " threads=" << threads;
+      EXPECT_EQ(result.status().code(), common::StatusCode::kCorruptedData);
+      EXPECT_NE(result.status().message().find(
+                    "key " + std::to_string(dim) + " outside model dim " +
+                    std::to_string(dim)),
+                std::string::npos)
+          << result.status().ToString();
+    }
+  }
 }
 
 TEST(FaultToleranceTest, CrashedWorkersDegradeButTrainingContinues) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "common/random.h"
 #include "ml/gradient.h"
@@ -88,6 +91,46 @@ TEST(GradientTest, GradientIsSortedAndSparse) {
   EXPECT_TRUE(common::IsSortedByKey(grad));
   EXPECT_GT(grad.size(), 100u);
   EXPECT_LT(grad.size(), data.dim() / 10);
+}
+
+// Pins the exact pairs ComputeBatchGradient emits: every key and the bit
+// pattern of every value, over batch slices of two presets with nonzero
+// weights and both a zero and a nonzero lambda. The regression, trace,
+// fault and churn goldens all train on these gradients, so a change to
+// how they are summed that moves any bit must fail here first.
+TEST(GradientTest, ContentDigestIsPinned) {
+  const std::pair<const char*, uint64_t> presets[] = {
+      {"kdd12", 0xa1095db3ea5b86beULL}, {"ctr", 0xcfb03dbaddf44a99ULL}};
+  const std::pair<size_t, size_t> slices[] = {
+      {0, 1}, {0, 64}, {100, 612}, {1000, 2000}};
+  for (const auto& [preset, pinned] : presets) {
+    SyntheticConfig config = PresetFor(preset);
+    config.num_instances = 2000;
+    const Dataset data = GenerateSynthetic(config);
+    common::Rng rng(53);
+    DenseVector w(data.dim());
+    for (auto& x : w) x = rng.NextGaussian() * 0.05;
+    LogisticLoss loss;
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto fold = [&h](uint64_t bits) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (const double lambda : {0.0, 0.01}) {
+      for (const auto& [begin, end] : slices) {
+        const auto grad = ComputeBatchGradient(loss, w, data, begin, end,
+                                               lambda);
+        fold(grad.size());
+        for (const auto& pair : grad) {
+          fold(pair.key);
+          fold(std::bit_cast<uint64_t>(pair.value));
+        }
+      }
+    }
+    EXPECT_EQ(h, pinned) << preset << " digest 0x" << std::hex << h;
+  }
 }
 
 TEST(GradientTest, EmptyBatchYieldsEmptyGradient) {

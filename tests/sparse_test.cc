@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
+
 #include "common/bit_util.h"
+#include "common/random.h"
 
 namespace sketchml::common {
 namespace {
@@ -14,6 +20,143 @@ TEST(SparseGradientTest, SortByKey) {
   EXPECT_EQ(grad[1].key, 3u);
   EXPECT_EQ(grad[2].key, 5u);
   EXPECT_DOUBLE_EQ(grad[0].value, 2.0);
+}
+
+// The reference SumByKey must reproduce bit for bit: `map[key] += value`
+// in input order, emitted in ascending key order.
+SparseGradient MapSum(const SparseGradient& pairs) {
+  std::map<uint64_t, double> sums;
+  for (const auto& pair : pairs) sums[pair.key] += pair.value;
+  SparseGradient out;
+  for (const auto& [key, value] : sums) out.push_back({key, value});
+  return out;
+}
+
+void ExpectSumByKeyMatchesMap(uint64_t lo, uint64_t span,
+                              const SparseGradient& pairs) {
+  const SparseGradient expected = MapSum(pairs);
+  SparseGradient got = pairs;
+  SumByKey(lo, span, &got);
+  ASSERT_EQ(got.size(), expected.size()) << "lo " << lo << " span " << span;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].key, expected[i].key) << "at " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].value),
+              std::bit_cast<uint64_t>(expected[i].value))
+        << "key " << got[i].key << ": " << got[i].value << " vs "
+        << expected[i].value;
+  }
+}
+
+TEST(SumByKeyTest, RandomDuplicatesMatchMapBitForBit) {
+  Rng rng(61);
+  // Spans of one to six 11-bit passes; few distinct keys, so runs are
+  // long and their sums depend on the order the values are added in.
+  const uint64_t spans[] = {2,       100,          2048,     2049,
+                            1 << 17, 1ULL << 22,   1ULL << 33,
+                            1ULL << 60};
+  for (const uint64_t span : spans) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const uint64_t lo = rng.NextBounded(1ULL << 40);
+      const size_t n = rng.NextBounded(3000);
+      const size_t distinct = 1 + rng.NextBounded(std::min<uint64_t>(span, 50));
+      std::vector<uint64_t> keys(distinct);
+      for (auto& key : keys) key = lo + rng.NextBounded(span);
+      SparseGradient pairs(n);
+      for (auto& pair : pairs) {
+        pair.key = keys[rng.NextBounded(distinct)];
+        pair.value = rng.NextGaussian() * std::pow(10.0, rng.NextBounded(32));
+      }
+      ExpectSumByKeyMatchesMap(lo, span, pairs);
+    }
+  }
+}
+
+TEST(SumByKeyTest, AddsEachKeysValuesInInputOrder) {
+  // (1e16 + 1) - 1e16 is 0 but (1e16 - 1e16) + 1 is 1: a sort that
+  // reorders equal keys changes the sum.
+  SparseGradient pairs = {{7, 1e16}, {3, 5.0}, {7, 1.0}, {7, -1e16}};
+  SumByKey(0, 8, &pairs);
+  EXPECT_EQ(pairs, (SparseGradient{{3, 5.0}, {7, 0.0}}));
+  pairs = {{7, 1e16}, {7, -1e16}, {3, 5.0}, {7, 1.0}};
+  SumByKey(0, 8, &pairs);
+  EXPECT_EQ(pairs, (SparseGradient{{3, 5.0}, {7, 1.0}}));
+}
+
+TEST(SumByKeyTest, KeysAtBothEndsOfTheRange) {
+  for (const uint64_t span : {uint64_t{2}, uint64_t{2048}, uint64_t{2049},
+                              uint64_t{1} << 32, uint64_t{1} << 63}) {
+    const uint64_t lo = 1000;
+    const uint64_t last = lo + span - 1;
+    ExpectSumByKeyMatchesMap(
+        lo, span,
+        {{last, 1.0}, {lo, 2.0}, {last, 3.0}, {lo, -4.0}, {lo + span / 2, 5.0}});
+  }
+}
+
+TEST(SumByKeyTest, SpanOfOneSumsEveryPair) {
+  SparseGradient pairs = {{42, 0.5}, {42, 0.25}, {42, -2.0}};
+  ExpectSumByKeyMatchesMap(42, 1, pairs);
+  SumByKey(42, 1, &pairs);
+  EXPECT_EQ(pairs, (SparseGradient{{42, -1.25}}));
+}
+
+TEST(SumByKeyTest, SpanOfTwoToThe32) {
+  Rng rng(67);
+  SparseGradient pairs(2000);
+  for (auto& pair : pairs) {
+    pair.key = rng.NextBounded(16) << 28 | rng.NextBounded(3);
+    pair.value = rng.NextGaussian();
+  }
+  pairs.push_back({0, 1.0});
+  pairs.push_back({(1ULL << 32) - 1, 1.0});
+  ExpectSumByKeyMatchesMap(0, 1ULL << 32, pairs);
+}
+
+TEST(SumByKeyTest, SharedHighDigitsKeepTheOrder) {
+  // Every key below 2^11: the upper passes see one digit and must leave
+  // the stable order from the first pass untouched.
+  Rng rng(71);
+  SparseGradient pairs(500);
+  for (auto& pair : pairs) {
+    pair.key = rng.NextBounded(300);
+    pair.value = rng.NextGaussian() * 1e8;
+  }
+  ExpectSumByKeyMatchesMap(0, 1ULL << 40, pairs);
+}
+
+TEST(SumByKeyTest, EmptyInput) {
+  SparseGradient pairs;
+  SumByKey(0, 1 << 20, &pairs);
+  EXPECT_TRUE(pairs.empty());
+  SumByKey(5, 1, &pairs);
+  EXPECT_TRUE(pairs.empty());
+}
+
+TEST(SumByKeyTest, NegativeZeroSumsToPositiveZero) {
+  // The sum starts at +0.0, and +0.0 + -0.0 is +0.0.
+  SparseGradient pairs = {{9, -0.0}};
+  SumByKey(0, 16, &pairs);
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_FALSE(std::signbit(pairs[0].value));
+  ExpectSumByKeyMatchesMap(0, 16, {{9, -0.0}, {3, -0.0}, {9, -0.0}});
+}
+
+TEST(SumByKeyTest, NanAndInfinityPropagate) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const SparseGradient pairs = {{1, inf},  {2, -inf}, {3, inf}, {3, -inf},
+                                {4, nan},  {4, 1.0},  {5, 2.0}, {5, nan},
+                                {6, -inf}, {6, 7.0},  {1, 3.0}};
+  ExpectSumByKeyMatchesMap(0, 8, pairs);
+  SparseGradient got = pairs;
+  SumByKey(0, 8, &got);
+  ASSERT_EQ(got.size(), 6u);
+  EXPECT_EQ(got[0].value, inf);
+  EXPECT_EQ(got[1].value, -inf);
+  EXPECT_TRUE(std::isnan(got[2].value));
+  EXPECT_TRUE(std::isnan(got[3].value));
+  EXPECT_TRUE(std::isnan(got[4].value));
+  EXPECT_EQ(got[5].value, -inf);
 }
 
 TEST(SparseGradientTest, IsSortedByKey) {
