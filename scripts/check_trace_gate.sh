@@ -13,13 +13,20 @@
 # (sketchml_trace exits 2 on dropped events).
 #
 # Usage:
-#   scripts/check_trace_gate.sh [TRAIN_BIN] [TRACE_BIN] [GOLDEN]
-# Defaults assume a ./build tree. Regenerate the golden after an intended
-# tracing change with:
+#   scripts/check_trace_gate.sh [--threads=N] [TRAIN_BIN] [TRACE_BIN] [GOLDEN]
+# Defaults assume a ./build tree and --threads=2. The golden holds at any
+# thread count, so one snapshot serves every --threads value. Regenerate
+# it after an intended tracing change with:
 #   scripts/check_trace_gate.sh --regen [TRAIN_BIN] [TRACE_BIN]
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+
+threads=2
+if [[ "${1:-}" == --threads=* ]]; then
+  threads="${1#--threads=}"
+  shift
+fi
 
 # Pinned configuration: keep in sync with the golden snapshot. Ten
 # workers with seeded drops + stragglers so retry/backoff spans and
@@ -27,7 +34,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 run_train() {
   local train_bin="$1" out="$2"
   "$train_bin" --dataset=synthetic --model=lr --codec=sketchml \
-    --epochs=2 --workers=10 --servers=2 --threads=2 --seed=1 \
+    --epochs=2 --workers=10 --servers=2 --threads="$threads" --seed=1 \
     --crc --fault-seed=7 --fault-drop=0.01 --fault-straggle=0.1 \
     --obs=on --trace-out="$out" >/dev/null
 }
@@ -69,7 +76,7 @@ run_train "$train_bin" "$trace"
 # sketchml_trace itself enforces: no dropped events (exit 2), no orphan
 # spans or multi-root batches (exit 1), structural diff clean (exit 1).
 if "$trace_bin" "$trace" --diff-golden="$golden" --quiet; then
-  echo "trace gate: PASS"
+  echo "trace gate: PASS (threads=$threads)"
 else
   status=$?
   echo "trace gate: FAIL (causal trace structure drifted from" \

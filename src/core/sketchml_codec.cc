@@ -282,6 +282,11 @@ common::Status SketchMlCodec::DecodeImpl(const compress::EncodedGradient& in,
     return common::Status::CorruptedData("decoded pair count mismatch");
   }
   common::SortByKey(out);
+  // An encoder emits each key once, in exactly one stream and group; a
+  // key in two runs would be summed twice downstream.
+  if (!common::IsSortedByKey(*out)) {
+    return common::Status::CorruptedData("duplicate decoded key");
+  }
   return common::Status::Ok();
 }
 
@@ -407,6 +412,11 @@ common::Status QuantileOnlyCodec::DecodeImpl(
     }
   }
   common::SortByKey(out);
+  // Each key sits in exactly one sign stream; a key in both would be
+  // summed twice downstream.
+  if (!common::IsSortedByKey(*out)) {
+    return common::Status::CorruptedData("duplicate decoded key");
+  }
   return common::Status::Ok();
 }
 

@@ -46,22 +46,96 @@ double* PhaseBucket(PhaseAttribution* attribution,
 struct TreeIndex {
   std::unordered_map<uint64_t, size_t> by_span_id;
   std::unordered_map<uint64_t, std::vector<size_t>> wall_children;
+  /// Per span index: the wall spans whose innermost enclosing span on
+  /// the same thread is this one, by start time. Spans on one thread
+  /// nest like a stack, so these siblings never overlap.
+  std::vector<std::vector<size_t>> thread_nested;
 };
 
+/// Slack for the thread-nesting test: timestamps are whole nanoseconds
+/// printed in microseconds, so ts + dur may round past the parent's end.
+constexpr double kNestSlackUs = 1e-3;
+
+/// Fills `index->thread_nested`: per thread, a stack walk over the wall
+/// spans in start order (outer span first on a tie).
+void IndexThreadNesting(const std::vector<TraceSpanRecord>& spans,
+                        TreeIndex* index) {
+  index->thread_nested.assign(spans.size(), {});
+  std::map<uint32_t, std::vector<size_t>> by_thread;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].category != "network") by_thread[spans[i].tid].push_back(i);
+  }
+  for (auto& [tid, order] : by_thread) {
+    std::sort(order.begin(), order.end(), [&spans](size_t a, size_t b) {
+      if (spans[a].ts_us != spans[b].ts_us) {
+        return spans[a].ts_us < spans[b].ts_us;
+      }
+      return spans[a].end_us() > spans[b].end_us();
+    });
+    std::vector<size_t> open;
+    for (size_t i : order) {
+      while (!open.empty() &&
+             spans[i].end_us() > spans[open.back()].end_us() + kNestSlackUs) {
+        open.pop_back();
+      }
+      if (!open.empty()) index->thread_nested[open.back()].push_back(i);
+      open.push_back(i);
+    }
+  }
+}
+
 constexpr int kMaxWalkDepth = 64;  // Spans nest ~5 deep; cycles bail out.
+
+void WalkCriticalPath(const std::vector<TraceSpanRecord>& spans,
+                      const TreeIndex& index, size_t span_index,
+                      double lo_us, double hi_us, int depth,
+                      PhaseAttribution* attribution);
+
+/// Attributes [lo_us, hi_us], a stretch of `span`'s window in which none
+/// of its causal children ran. Wall spans that ran on span's thread in
+/// that stretch without being its children (a driver phase overlapped
+/// with this span, such as the previous batch's broadcast) are walked
+/// like children; the rest is span's own time.
+void WalkGap(const std::vector<TraceSpanRecord>& spans,
+             const TreeIndex& index, size_t span_index, double lo_us,
+             double hi_us, int depth, PhaseAttribution* attribution) {
+  const TraceSpanRecord& span = spans[span_index];
+  double* self_bucket = PhaseBucket(attribution, span);
+  const std::vector<size_t>& nested = index.thread_nested[span_index];
+  // Latest-starting first; the siblings are disjoint, so that is also
+  // latest-ending first, and the scan stops at the first one that ended
+  // before the gap.
+  auto it = std::lower_bound(
+      nested.begin(), nested.end(), hi_us,
+      [&spans](size_t i, double t) { return spans[i].ts_us < t; });
+  double cursor = hi_us;
+  while (it != nested.begin() && cursor > lo_us) {
+    const TraceSpanRecord& other = spans[*--it];
+    if (other.end_us() <= lo_us) break;
+    if (span.span_id != 0 && other.parent_span_id == span.span_id) continue;
+    const double other_hi = std::min(other.end_us(), cursor);
+    const double other_lo = std::max(other.ts_us, lo_us);
+    if (other_hi <= other_lo) continue;
+    *self_bucket += cursor - other_hi;
+    WalkCriticalPath(spans, index, *it, other_lo, other_hi, depth + 1,
+                     attribution);
+    cursor = other_lo;
+  }
+  if (cursor > lo_us) *self_bucket += cursor - lo_us;
+}
 
 /// Backward critical-path walk. Attributes the window [lo_us, hi_us] of
 /// `span` exactly: descend into the latest-ending wall child first, jump
 /// to its begin, repeat; every gap between children (and before the
-/// first) is `span`'s own time. The recursion clips children to the
-/// window, so the attributed total equals hi_us - lo_us by construction.
+/// first) goes to WalkGap. The recursion clips children to the window,
+/// so the attributed total equals hi_us - lo_us by construction.
 void WalkCriticalPath(const std::vector<TraceSpanRecord>& spans,
-                      const TreeIndex& index, const TraceSpanRecord& span,
+                      const TreeIndex& index, size_t span_index,
                       double lo_us, double hi_us, int depth,
                       PhaseAttribution* attribution) {
-  double* self_bucket = PhaseBucket(attribution, span);
+  const TraceSpanRecord& span = spans[span_index];
   if (depth >= kMaxWalkDepth) {
-    *self_bucket += hi_us - lo_us;
+    *PhaseBucket(attribution, span) += hi_us - lo_us;
     return;
   }
   const auto children_it = index.wall_children.find(span.span_id);
@@ -77,13 +151,15 @@ void WalkCriticalPath(const std::vector<TraceSpanRecord>& spans,
       const double child_hi = std::min(child.end_us(), cursor);
       const double child_lo = std::max(child.ts_us, lo_us);
       if (child_hi <= child_lo) continue;  // Outside the window.
-      *self_bucket += cursor - child_hi;   // Gap: span's own time.
-      WalkCriticalPath(spans, index, child, child_lo, child_hi, depth + 1,
-                       attribution);
+      WalkGap(spans, index, span_index, child_hi, cursor, depth, attribution);
+      WalkCriticalPath(spans, index, child_index, child_lo, child_hi,
+                       depth + 1, attribution);
       cursor = child_lo;
     }
   }
-  if (cursor > lo_us) *self_bucket += cursor - lo_us;
+  if (cursor > lo_us) {
+    WalkGap(spans, index, span_index, lo_us, cursor, depth, attribution);
+  }
 }
 
 void AppendJsonKey(std::ostream& out, std::string_view key, bool* first) {
@@ -305,11 +381,12 @@ common::Result<CriticalPathReport> AnalyzeTrace(const ParsedTrace& trace) {
                    });
 
   // Wall attribution: partition each epoch span's duration exactly.
+  IndexThreadNesting(trace.spans, &index);
   for (size_t epoch_index : epoch_spans) {
     const TraceSpanRecord& epoch = trace.spans[epoch_index];
     report.epoch_total_us += epoch.dur_us;
-    WalkCriticalPath(trace.spans, index, epoch, epoch.ts_us, epoch.end_us(),
-                     0, &report.attribution);
+    WalkCriticalPath(trace.spans, index, epoch_index, epoch.ts_us,
+                     epoch.end_us(), 0, &report.attribution);
   }
 
   // Straggler attribution: the latest-ending push under each batch is

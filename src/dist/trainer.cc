@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -106,13 +107,18 @@ void AccumulateRecovery(const common::SparseGradient& sent,
   }
 }
 
-/// Runs fn(0) .. fn(count - 1) as pool tasks (inline without a pool or
-/// with a single task) and returns the results in index order.
-template <typename Fn>
-auto MapTasks(common::ThreadPool* pool, size_t count, const Fn& fn) {
+/// Runs fn(0) .. fn(count - 1) as pool tasks and returns the results in
+/// index order. `meanwhile()` runs on the calling thread between
+/// submitting the tasks and collecting them, so driver work overlaps the
+/// tasks without becoming one. Without a pool (or with a single task)
+/// everything runs inline, `meanwhile` first.
+template <typename Fn, typename Meanwhile>
+auto MapTasks(common::ThreadPool* pool, size_t count, const Fn& fn,
+              const Meanwhile& meanwhile) {
   using T = decltype(fn(size_t{0}));
   std::vector<T> results(count);
   if (pool == nullptr || count <= 1) {
+    meanwhile();
     for (size_t i = 0; i < count; ++i) results[i] = fn(i);
     return results;
   }
@@ -120,8 +126,14 @@ auto MapTasks(common::ThreadPool* pool, size_t count, const Fn& fn) {
   for (size_t i = 0; i < count; ++i) {
     futures[i] = pool->Submit([&fn, i] { return fn(i); });
   }
+  meanwhile();
   for (size_t i = 0; i < count; ++i) results[i] = futures[i].Get();
   return results;
+}
+
+/// Orders a decoded pair against a key bound, for std::lower_bound.
+bool KeyBelow(const common::GradientPair& pair, uint64_t key) {
+  return pair.key < key;
 }
 
 }  // namespace
@@ -134,7 +146,10 @@ auto MapTasks(common::ThreadPool* pool, size_t count, const Fn& fn) {
 struct DistributedTrainer::WorkerResult {
   int worker = 0;  // Id in the membership universe (keys metric slots).
   common::Status status;
-  common::SparseGradient decoded;   // Decoded pairs, in shard order.
+  // Decoded pairs: one strictly key-ascending run per delivered shard,
+  // runs in shard order. run_ends[i] is where run i ends in `decoded`.
+  common::SparseGradient decoded;
+  std::vector<size_t> run_ends;
   std::vector<size_t> shard_bytes;  // Wire bytes per server shard.
   // Decode seconds attributed to each server shard; lets the driver
   // publish per-server slices.
@@ -422,7 +437,8 @@ std::vector<common::SparseGradient> DistributedTrainer::SplitByShard(
 }
 
 std::vector<DistributedTrainer::WorkerResult> DistributedTrainer::RunWorkers(
-    size_t batch_start, size_t batch_end, const obs::SpanContext& batch_ctx) {
+    size_t batch_start, size_t batch_end, const obs::SpanContext& batch_ctx,
+    const std::function<void()>& meanwhile) {
   // Slice i of the batch belongs to worker ids[i]: RunWorker takes the
   // *worker id* (it keys fault decisions and picks the codec seed lane),
   // while ranges/results stay slice-indexed. With membership off
@@ -439,9 +455,12 @@ std::vector<DistributedTrainer::WorkerResult> DistributedTrainer::RunWorkers(
   }
   // Slice 0 always exists: the batch is non-empty and workers >= 1.
   SKETCHML_DCHECK(!ranges.empty());
-  return MapTasks(pool_.get(), ranges.size(), [&](size_t i) {
-    return RunWorker(ids[i], ranges[i].first, ranges[i].second, batch_ctx);
-  });
+  return MapTasks(
+      pool_.get(), ranges.size(),
+      [&](size_t i) {
+        return RunWorker(ids[i], ranges[i].first, ranges[i].second, batch_ctx);
+      },
+      meanwhile);
 }
 
 DistributedTrainer::WorkerResult DistributedTrainer::RunWorker(
@@ -586,15 +605,21 @@ common::Status DistributedTrainer::DeliverShard(
       if (!faults_active_) return received;
       continue;
     }
-    // Keys index the model unchecked downstream (aggregation, optimizer).
-    // Framing has already ruled out damage in flight, so a key outside
-    // the model is a codec error that no retry can mend.
-    for (const auto& pair : decoded) {
-      if (pair.key >= train_->dim()) {
+    // Keys index the model unchecked downstream (aggregation, optimizer),
+    // and aggregation binary-searches each run, so every run must be
+    // strictly ascending inside the model. Framing has already ruled out
+    // damage in flight, so a violation is a codec error that no retry
+    // can mend.
+    for (size_t i = 0; i < decoded.size(); ++i) {
+      const uint64_t key = decoded[i].key;
+      const bool outside = key >= train_->dim();
+      if (outside || (i > 0 && key <= decoded[i - 1].key)) {
         return common::Status::CorruptedData(
             "worker " + std::to_string(w) + " shard " + std::to_string(s) +
-            ": decoded gradient key " + std::to_string(pair.key) +
-            " outside model dim " + std::to_string(train_->dim()));
+            ": decoded gradient key " + std::to_string(key) +
+            (outside ? " outside model dim " + std::to_string(train_->dim())
+                     : " not above the key before it (" +
+                           std::to_string(decoded[i - 1].key) + ")"));
       }
     }
     if (metrics_on_) {
@@ -602,6 +627,7 @@ common::Status DistributedTrainer::DeliverShard(
                          &r->recovery_ref_l1);
     }
     r->decoded.insert(r->decoded.end(), decoded.begin(), decoded.end());
+    r->run_ends.push_back(r->decoded.size());
     return common::Status::Ok();
   }
   // Retry budget exhausted: the sender's final timeout closes the
@@ -750,12 +776,21 @@ common::SparseGradient DistributedTrainer::AggregateAndApply(
     // workers only (the quorum check guarantees contributing >= 1). Fault
     // free, every worker contributes and this is the usual mean.
     const double inv_workers = 1.0 / static_cast<double>(contributing);
+    // A slice takes [lo, hi) out of every decoded run with two binary
+    // searches (DeliverShard admits only strictly ascending runs), in
+    // worker order and then shard order: the same pairs, in the same
+    // order, as a filter over each worker's whole list.
     const auto aggregate_slice = [&](uint64_t lo, uint64_t hi) {
       common::SparseGradient slice;
       for (const WorkerResult& r : results) {
         if (!r.contributes) continue;
-        for (const auto& pair : r.decoded) {
-          if (pair.key >= lo && pair.key < hi) slice.push_back(pair);
+        auto run_begin = r.decoded.begin();
+        for (const size_t end : r.run_ends) {
+          const auto run_end = r.decoded.begin() + end;
+          const auto first = std::lower_bound(run_begin, run_end, lo, KeyBelow);
+          slice.insert(slice.end(), first,
+                       std::lower_bound(first, run_end, hi, KeyBelow));
+          run_begin = run_end;
         }
       }
       common::SumByKey(lo, hi - lo, &slice);
@@ -766,10 +801,13 @@ common::SparseGradient DistributedTrainer::AggregateAndApply(
     const uint64_t dim = std::max<uint64_t>(1, train_->dim());
     const uint64_t slices =
         pool_ ? std::min(dim, static_cast<uint64_t>(4 * num_threads_)) : 1;
-    for (const common::SparseGradient& slice :
-         MapTasks(pool_.get(), slices, [&](uint64_t s) {
-           return aggregate_slice(dim * s / slices, dim * (s + 1) / slices);
-         })) {
+    for (const common::SparseGradient& slice : MapTasks(
+             pool_.get(), slices,
+             [&](uint64_t s) {
+               return aggregate_slice(dim * s / slices,
+                                      dim * (s + 1) / slices);
+             },
+             [] {})) {
       mean_grad.insert(mean_grad.end(), slice.begin(), slice.end());
     }
   }
@@ -795,17 +833,20 @@ common::SparseGradient DistributedTrainer::AggregateAndApply(
 }
 
 common::Status DistributedTrainer::BroadcastUpdate(
-    common::SparseGradient update, int workers, EpochStats* stats) {
+    PendingBroadcast broadcast, EpochStats* stats) {
   // Re-encode the aggregated update with the same codec. With sharding
   // each server broadcasts its key range; shards broadcast in parallel
-  // so the slowest bounds the phase.
+  // so the slowest bounds the phase. The spans join batch b's tree even
+  // though batch b+1's span is open on this thread by now.
+  obs::TraceContextScope batch_scope(broadcast.parent);
+  const int workers = broadcast.workers;
   double slowest_broadcast = 0.0;
   double driver_encode_seconds = 0.0, driver_decode_seconds = 0.0;
   const uint64_t bytes_down_before = stats->bytes_down;
   {
     obs::TraceSpan broadcast_span("trainer", "broadcast");
     const std::vector<common::SparseGradient> update_shards =
-        SplitByShard(std::move(update));
+        SplitByShard(std::move(broadcast.update));
     common::Stopwatch watch;
     for (const common::SparseGradient& shard : update_shards) {
       if (shard.empty()) continue;
@@ -940,8 +981,23 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
   obs::TraceSpan epoch_span("trainer", "epoch");
   epoch_span.Arg("epoch", static_cast<double>(stats.epoch));
 
-  // Per batch: fleet -> workers (compute, split, encode, deliver, decode)
-  // -> reduce -> aggregate and apply -> broadcast.
+  // Batch b's broadcast waits here and runs on this thread while batch
+  // b+1's workers run on the pool. Its additions to `stats` and the
+  // driver metrics still land between batch b's aggregate and batch
+  // b+1's reduce, so every float sum keeps its order. It must also run
+  // before anything else that adds to them (membership events) and
+  // before the epoch ends (checkpoints serialize codec_).
+  std::optional<PendingBroadcast> pending;
+  const auto run_pending_broadcast = [&]() -> common::Status {
+    if (!pending) return common::Status::Ok();
+    PendingBroadcast broadcast = std::move(*pending);
+    pending.reset();
+    return BroadcastUpdate(std::move(broadcast), &stats);
+  };
+
+  // Per batch: fleet -> workers (compute, split, encode, deliver, decode;
+  // meanwhile the previous batch's broadcast) -> reduce -> aggregate and
+  // apply.
   for (size_t batch_start = 0; batch_start < n; batch_start += batch_size) {
     const size_t batch_end = std::min(n, batch_start + batch_size);
     // Fleet: membership events fire at batch boundaries, before the
@@ -950,6 +1006,7 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     // counts; an inactive plan fires none.
     std::vector<MembershipEvent> events;
     directory_.ApplyBatch(batches_run_, &events);
+    if (!events.empty()) SKETCHML_RETURN_IF_ERROR(run_pending_broadcast());
     for (const MembershipEvent& event : events) {
       ApplyMembershipEvent(event, &stats);
     }
@@ -972,19 +1029,24 @@ common::Result<EpochStats> DistributedTrainer::RunEpochAttempt() {
     const obs::SpanContext batch_ctx =
         batch_span ? batch_span->context() : obs::SpanContext{};
 
+    common::Status broadcast_status;
     const std::vector<WorkerResult> results =
-        RunWorkers(batch_start, batch_end, batch_ctx);
+        RunWorkers(batch_start, batch_end, batch_ctx,
+                   [&] { broadcast_status = run_pending_broadcast(); });
+    SKETCHML_RETURN_IF_ERROR(broadcast_status);
     SKETCHML_ASSIGN_OR_RETURN(const int contributing,
                               ReduceResults(results, &total_nnz, &stats));
-    SKETCHML_RETURN_IF_ERROR(
-        BroadcastUpdate(AggregateAndApply(results, contributing, &stats),
-                        static_cast<int>(results.size()), &stats));
+    pending = PendingBroadcast{
+        AggregateAndApply(results, contributing, &stats),
+        static_cast<int>(results.size()),
+        batch_ctx.valid() ? batch_ctx : epoch_span.context()};
     ++stats.num_batches;
     // Global batch index: the injector keys every decision on it, so the
     // fault sequence is a function of (plan seed, lifetime batch number)
     // and replays identically across epochs and thread counts.
     ++batches_run_;
   }
+  SKETCHML_RETURN_IF_ERROR(run_pending_broadcast());
   SKETCHML_RETURN_IF_ERROR(FinishEpoch(total_nnz, &stats));
   return stats;
 }

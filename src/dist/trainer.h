@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -198,11 +199,15 @@ class DistributedTrainer {
   /// checkpoint-based retry loop). A short driver over the per-batch
   /// stages below, in order: fleet -> workers (compute, split by shard,
   /// encode, deliver; decode on behalf of the owning server) -> reduce ->
-  /// aggregate and apply -> broadcast; then the epoch end.
+  /// aggregate and apply; then the epoch end. Batch b's broadcast runs on
+  /// the driver thread while batch b+1's workers run on the pool.
   common::Result<EpochStats> RunEpochAttempt();
   struct WorkerResult;  // One executor's share of a batch.
+  /// Runs the batch's workers as pool tasks and `meanwhile()` on the
+  /// calling thread while they run (first, when there is no pool).
   std::vector<WorkerResult> RunWorkers(size_t batch_start, size_t batch_end,
-                                       const obs::SpanContext& batch_ctx);
+                                       const obs::SpanContext& batch_ctx,
+                                       const std::function<void()>& meanwhile);
   WorkerResult RunWorker(int w, size_t lo, size_t hi,
                          const obs::SpanContext& batch_ctx);
   common::Status DeliverShard(int s, const compress::EncodedGradient& msg,
@@ -213,8 +218,13 @@ class DistributedTrainer {
   common::SparseGradient AggregateAndApply(
       const std::vector<WorkerResult>& results, int contributing,
       EpochStats* stats);
-  common::Status BroadcastUpdate(common::SparseGradient update, int workers,
-                                 EpochStats* stats);
+  /// A batch's broadcast, deferred until the next batch's workers run.
+  struct PendingBroadcast {
+    common::SparseGradient update;  // The aggregate the optimizer applied.
+    int workers = 0;                // The batch's worker count.
+    obs::SpanContext parent;  // The batch span (the epoch's if unsampled).
+  };
+  common::Status BroadcastUpdate(PendingBroadcast broadcast, EpochStats* stats);
   common::Status FinishEpoch(uint64_t total_nnz, EpochStats* stats);
 
   /// Splits a key-sorted gradient by owning server shard.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/raw_codec.h"
@@ -376,17 +377,18 @@ TEST(FaultToleranceTest, CorruptionTruncatedToEmptyIsLost) {
   EXPECT_EQ(run.status().code(), common::StatusCode::kUnavailable);
 }
 
-/// Raw doubles, except that every worker-lane (forked) Decode moves its
-/// last key to `dim`, one past the model: a codec bug that no framing
-/// catches. The root instance, which the driver broadcasts with, decodes
-/// faithfully.
-class KeyPastDimCodec : public compress::GradientCodec {
+/// Raw doubles, except that every worker-lane (forked) Decode rewrites
+/// its keys with `mangle`: a codec bug that no framing catches. The root
+/// instance, which the driver broadcasts with, decodes faithfully.
+class MangledKeyCodec : public compress::GradientCodec {
  public:
-  KeyPastDimCodec(uint64_t dim, bool shifts) : dim_(dim), shifts_(shifts) {}
-  std::string Name() const override { return "key-past-dim"; }
+  using Mangle = void (*)(uint64_t dim, common::SparseGradient* decoded);
+  MangledKeyCodec(uint64_t dim, Mangle mangle, bool forked = false)
+      : dim_(dim), mangle_(mangle), forked_(forked) {}
+  std::string Name() const override { return "mangled-key"; }
   bool IsLossless() const override { return false; }
   std::unique_ptr<GradientCodec> Fork(uint64_t /*lane*/) const override {
-    return std::make_unique<KeyPastDimCodec>(dim_, true);
+    return std::make_unique<MangledKeyCodec>(dim_, mangle_, true);
   }
 
  protected:
@@ -397,23 +399,25 @@ class KeyPastDimCodec : public compress::GradientCodec {
   common::Status DecodeImpl(const compress::EncodedGradient& in,
                             common::SparseGradient* out) override {
     SKETCHML_RETURN_IF_ERROR(raw_.Decode(in, out));
-    if (shifts_ && !out->empty()) out->back().key = dim_;
+    if (forked_ && out->size() >= 2) mangle_(dim_, out);
     return common::Status::Ok();
   }
 
  private:
   uint64_t dim_;
-  bool shifts_;
+  Mangle mangle_;
+  bool forked_;
   compress::RawCodec raw_;
 };
 
-TEST(FaultToleranceTest, DecodedKeyPastModelDimFailsTheEpoch) {
-  // The server must not hand a key >= dim to aggregation and the
-  // optimizer, which index the model unchecked. It is a codec error, not
-  // damage in flight, so neither the null policy nor an active retry
-  // policy retries it or counts the message lost: the epoch fails.
-  Fixture f;
-  const uint64_t dim = f.train->dim();
+/// Runs one epoch with `mangle` on every worker lane, under the null and
+/// an active retry policy at 1 and 4 threads, and expects each to fail
+/// with kCorruptedData naming `fault`. A mangled key is a codec error, not
+/// damage in flight, so neither policy retries it or counts the message
+/// lost: the epoch fails.
+void ExpectMangledKeysFailTheEpoch(const Fixture& f,
+                                   MangledKeyCodec::Mangle mangle,
+                                   const std::string& fault) {
   for (const bool faults : {false, true}) {
     for (const int threads : {1, 4}) {
       ClusterConfig cluster;
@@ -425,19 +429,49 @@ TEST(FaultToleranceTest, DecodedKeyPastModelDimFailsTheEpoch) {
       }
       TrainerConfig config;
       config.num_threads = threads;
-      DistributedTrainer trainer(f.train.get(), nullptr, f.loss.get(),
-                                 std::make_unique<KeyPastDimCodec>(dim, false),
-                                 cluster, config);
+      DistributedTrainer trainer(
+          f.train.get(), nullptr, f.loss.get(),
+          std::make_unique<MangledKeyCodec>(f.train->dim(), mangle), cluster,
+          config);
       auto result = trainer.RunEpoch();
       ASSERT_FALSE(result.ok()) << "faults=" << faults << " threads=" << threads;
       EXPECT_EQ(result.status().code(), common::StatusCode::kCorruptedData);
-      EXPECT_NE(result.status().message().find(
-                    "key " + std::to_string(dim) + " outside model dim " +
-                    std::to_string(dim)),
-                std::string::npos)
+      EXPECT_NE(result.status().message().find(fault), std::string::npos)
           << result.status().ToString();
     }
   }
+}
+
+TEST(FaultToleranceTest, DecodedKeyPastModelDimFailsTheEpoch) {
+  // The server must not hand a key >= dim to aggregation and the
+  // optimizer, which index the model unchecked.
+  Fixture f;
+  const std::string dim = std::to_string(f.train->dim());
+  ExpectMangledKeysFailTheEpoch(
+      f,
+      [](uint64_t dim, common::SparseGradient* decoded) {
+        decoded->back().key = dim;
+      },
+      "key " + dim + " outside model dim " + dim);
+}
+
+TEST(FaultToleranceTest, DecodedKeysNotStrictlyAscendingFailTheEpoch) {
+  // Aggregation binary-searches each decoded run, so a run must be
+  // strictly ascending: a repeated key would be summed twice, and a key
+  // out of order would be missed by the search.
+  Fixture f;
+  ExpectMangledKeysFailTheEpoch(
+      f,
+      [](uint64_t, common::SparseGradient* decoded) {
+        (*decoded)[1].key = (*decoded)[0].key;
+      },
+      "not above the key before it");
+  ExpectMangledKeysFailTheEpoch(
+      f,
+      [](uint64_t, common::SparseGradient* decoded) {
+        std::swap((*decoded)[0].key, (*decoded)[1].key);
+      },
+      "not above the key before it");
 }
 
 TEST(FaultToleranceTest, CrashedWorkersDegradeButTrainingContinues) {

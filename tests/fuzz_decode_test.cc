@@ -171,6 +171,61 @@ TEST_P(CodecFuzzTest, FramedMessagesNeverFalseOkOnCorruption) {
   }
 }
 
+// Spliced sign streams: every byte of the message is well formed, but
+// the positive stream of one message (key 5, +0.25) is followed by the
+// negative stream of another (key 5, -0.25), so key 5 appears twice. A
+// decoder that let it through would have the aggregate count one
+// worker's value for key 5 twice.
+
+EncodedGradient EncodeOne(const std::string& codec_name, double value) {
+  auto codec = std::move(core::MakeCodec(codec_name)).value();
+  EncodedGradient msg;
+  EXPECT_TRUE(codec->Encode({{5, value}}, &msg).ok());
+  return msg;
+}
+
+std::vector<uint8_t> Slice(const std::vector<uint8_t>& bytes, size_t begin,
+                           size_t end) {
+  return std::vector<uint8_t>(bytes.begin() + begin, bytes.begin() + end);
+}
+
+void ExpectDuplicateKeyRejected(const std::string& codec_name,
+                                const EncodedGradient& spliced) {
+  auto codec = std::move(core::MakeCodec(codec_name)).value();
+  common::SparseGradient decoded;
+  const common::Status status = codec->Decode(spliced, &decoded);
+  EXPECT_EQ(status.code(), common::StatusCode::kCorruptedData)
+      << status.ToString() << ", decoded " << decoded.size() << " pairs";
+  EXPECT_NE(status.message().find("duplicate"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(SplicedStreamTest, SketchMlRejectsAKeyInBothSignStreams) {
+  // Layout: version, total pairs, positive stream, negative stream; an
+  // empty stream is its zero count byte.
+  const auto pos = EncodeOne("sketchml", 0.25).bytes;  // v, 1, P, 0
+  const auto neg = EncodeOne("sketchml", -0.25).bytes;  // v, 1, 0, N
+  EncodedGradient spliced;
+  spliced.bytes = {pos[0], 2};
+  const auto p = Slice(pos, 2, pos.size() - 1);
+  const auto n = Slice(neg, 3, neg.size());
+  spliced.bytes.insert(spliced.bytes.end(), p.begin(), p.end());
+  spliced.bytes.insert(spliced.bytes.end(), n.begin(), n.end());
+  ExpectDuplicateKeyRejected("sketchml", spliced);
+}
+
+TEST(SplicedStreamTest, QuantileOnlyRejectsAKeyInBothSignStreams) {
+  // Layout: version, positive stream, negative stream; an empty stream
+  // is its zero count byte.
+  const auto pos = EncodeOne("adam+key+quan", 0.25).bytes;  // v, P, 0
+  const auto neg = EncodeOne("adam+key+quan", -0.25).bytes;  // v, 0, N
+  EncodedGradient spliced;
+  spliced.bytes = Slice(pos, 0, pos.size() - 1);
+  const auto n = Slice(neg, 2, neg.size());
+  spliced.bytes.insert(spliced.bytes.end(), n.begin(), n.end());
+  ExpectDuplicateKeyRejected("adam+key+quan", spliced);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecFuzzTest,
                          ::testing::ValuesIn(core::KnownCodecNames()),
                          [](const auto& info) {

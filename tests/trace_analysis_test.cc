@@ -120,6 +120,49 @@ TEST(TraceAnalysisTest, AttributionPartitionsTheEpochExactly) {
   EXPECT_DOUBLE_EQ(report->modeled.gather_us, 300.0);
 }
 
+TEST(TraceAnalysisTest, SelfTimeGapsGoToSpansOverlappedOnTheSameThread) {
+  // The trainer runs batch b's broadcast on the driver thread (tid 1)
+  // while batch b+1's workers run on the pool (tid 2). The broadcast is
+  // batch b's child but runs inside batch b+1's window, so each stretch
+  // of batch b+1 with no child of its own running is charged to the
+  // broadcast and its codec children instead of to batch b+1. The last
+  // broadcast runs after the last batch, inside the epoch's own time.
+  ParsedTrace trace;
+  const auto add = [&trace](const char* category, const char* name,
+                            double ts, double dur, uint64_t id,
+                            uint64_t parent, uint32_t tid) {
+    trace.spans.push_back(MakeSpan(category, name, ts, dur, 1, id, parent));
+    trace.spans.back().tid = tid;
+  };
+  add("trainer", "epoch", 0, 100, 1, 0, 1);
+  add("trainer", "batch", 0, 40, 2, 1, 1);
+  add("trainer", "push", 0, 30, 3, 2, 2);
+  add("trainer", "compute", 0, 28, 4, 3, 2);
+  add("trainer", "aggregate", 32, 4, 5, 2, 1);
+  add("trainer", "batch", 40, 55, 10, 1, 1);
+  add("trainer", "push", 42, 28, 11, 10, 2);
+  add("trainer", "compute", 42, 26, 12, 11, 2);
+  add("trainer", "broadcast", 41, 39, 20, 2, 1);  // Batch 2's window.
+  add("codec", "encode/sketchml", 45, 30, 21, 20, 1);
+  add("trainer", "aggregate", 82, 8, 13, 10, 1);
+  add("trainer", "broadcast", 95, 4, 30, 10, 1);  // After the last batch.
+  add("codec", "decode/sketchml", 96, 2, 31, 30, 1);
+  const auto report = AnalyzeTrace(trace);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->orphan_spans, 0u);
+  const PhaseAttribution& a = report->attribution;
+  EXPECT_DOUBLE_EQ(a.TotalUs(), 100.0);
+  // Batch 2's critical path is aggregate <- push (compute to 68). The
+  // broadcast covers the gaps [70, 80] and [41, 42] of that path, and
+  // its encode the part [70, 75] of the first.
+  EXPECT_DOUBLE_EQ(a.encode_us, 5.0);
+  // The epoch tail [95, 100]: the last broadcast's decode [96, 98].
+  EXPECT_DOUBLE_EQ(a.decode_us, 2.0);
+  EXPECT_DOUBLE_EQ(a.compute_us, 28.0 + 26.0);
+  EXPECT_DOUBLE_EQ(a.aggregate_us, 4.0 + 8.0);
+  EXPECT_DOUBLE_EQ(a.other_us, 27.0);
+}
+
 TEST(TraceAnalysisTest, CountsStructureStragglersAndRetries) {
   const auto report = AnalyzeTrace(TwoWorkerTrace());
   ASSERT_TRUE(report.ok());

@@ -14,6 +14,7 @@
 
 #include "common/metrics_registry.h"
 #include "common/obs.h"
+#include "compress/raw_codec.h"
 #include "core/codec_factory.h"
 #include "dist/network_model.h"
 #include "ml/loss.h"
@@ -444,9 +445,11 @@ std::vector<DigestCase> DigestCases() {
 /// Folds every integer EpochStats field, the bit patterns of the losses
 /// and the mean nnz, and the final weights of one run. Measured seconds
 /// are left out: they are wall time. Also sums the stats into `total`
-/// so callers can check the case exercised what it claims to.
+/// so callers can check the case exercised what it claims to, and keeps
+/// the per-epoch stats in `epochs` when given.
 uint64_t RunDigest(const Fixture& f, const DigestCase& c, int threads,
-                   EpochStats* total) {
+                   EpochStats* total,
+                   std::vector<EpochStats>* epochs = nullptr) {
   TrainerConfig config;
   config.learning_rate = 0.05;
   config.adam_epsilon = 0.01;
@@ -472,6 +475,7 @@ uint64_t RunDigest(const Fixture& f, const DigestCase& c, int threads,
   }
   for (double w : trainer.optimizer().weights()) h.F64(w);
   *total = Aggregate(*run);
+  if (epochs != nullptr) *epochs = *run;
   return h.value();
 }
 
@@ -558,6 +562,129 @@ TEST(TrainerTest, EpochDigestIsPinned) {
           << c.name << " with metrics on at " << threads << " threads";
     }
   }
+}
+
+/// Compares every EpochStats field except the four measured CPU phases
+/// (wall time). network_seconds is a modeled float sum, so equal bits
+/// mean the gather, broadcast and membership transfers were added in
+/// the same order.
+void ExpectSameModeledStats(const EpochStats& a, const EpochStats& b,
+                            const std::string& where) {
+  EpochStats x = a, y = b;
+  for (EpochStats* s : {&x, &y}) {
+    s->compute_seconds = s->encode_seconds = 0.0;
+    s->decode_seconds = s->update_seconds = 0.0;
+  }
+  EXPECT_EQ(x.epoch, y.epoch) << where;
+  EXPECT_EQ(x.network_seconds, y.network_seconds) << where;  // Bit-exact.
+  EXPECT_EQ(x.bytes_up, y.bytes_up) << where;
+  EXPECT_EQ(x.bytes_down, y.bytes_down) << where;
+  EXPECT_EQ(x.messages, y.messages) << where;
+  EXPECT_EQ(x.injected_faults, y.injected_faults) << where;
+  EXPECT_EQ(x.retries, y.retries) << where;
+  EXPECT_EQ(x.retransmit_bytes, y.retransmit_bytes) << where;
+  EXPECT_EQ(x.lost_messages, y.lost_messages) << where;
+  EXPECT_EQ(x.degraded_batches, y.degraded_batches) << where;
+  EXPECT_EQ(x.joins, y.joins) << where;
+  EXPECT_EQ(x.leaves, y.leaves) << where;
+  EXPECT_EQ(x.departs, y.departs) << where;
+  EXPECT_EQ(x.handoff_bytes, y.handoff_bytes) << where;
+  EXPECT_EQ(x.sync_bytes, y.sync_bytes) << where;
+  EXPECT_EQ(x.reconfigurations, y.reconfigurations) << where;
+  EXPECT_EQ(x.rollbacks, y.rollbacks) << where;
+  EXPECT_EQ(x.checkpoint_bytes, y.checkpoint_bytes) << where;
+  EXPECT_EQ(x.num_batches, y.num_batches) << where;
+  EXPECT_EQ(x.avg_gradient_nnz, y.avg_gradient_nnz) << where;
+  EXPECT_EQ(x.train_loss, y.train_loss) << where;
+  EXPECT_EQ(x.test_loss, y.test_loss) << where;
+  EXPECT_EQ(x.TotalSeconds(), y.TotalSeconds()) << where;
+}
+
+TEST(TrainerTest, PipelinedBroadcastIsThreadCountInvariant) {
+  // Batch b's broadcast runs while batch b+1's workers run, and before
+  // any membership event or checkpoint. Ring-sharded servers give each
+  // worker several decoded runs for the aggregation's run search; churn
+  // fires events mid-epoch; crashes force rollbacks to checkpoints.
+  Fixture f;
+  const DigestCase c = DigestCases().back();
+  ASSERT_TRUE(c.cluster.membership.Active());
+  ASSERT_TRUE(c.cluster.membership.CheckpointsEnabled());
+  ASSERT_GT(c.cluster.num_servers, 1);
+  std::vector<EpochStats> serial;
+  EpochStats total;
+  const uint64_t digest = RunDigest(f, c, 1, &total, &serial);
+  EXPECT_EQ(digest, c.plain);
+  EXPECT_GT(total.joins + total.leaves + total.departs, 0u);
+  EXPECT_GT(total.rollbacks, 0u);
+  for (int threads : {2, 4}) {
+    std::vector<EpochStats> pipelined;
+    EXPECT_EQ(RunDigest(f, c, threads, &total, &pipelined), digest)
+        << threads << " threads";
+    ASSERT_EQ(pipelined.size(), serial.size());
+    for (size_t e = 0; e < serial.size(); ++e) {
+      ExpectSameModeledStats(serial[e], pipelined[e],
+                             "epoch " + std::to_string(e + 1) + " at " +
+                                 std::to_string(threads) + " threads");
+    }
+  }
+}
+
+/// Raw doubles whose root instance, the driver's broadcast lane, refuses
+/// its `fail_at`-th Encode. Worker lanes (forks) never fail.
+class FailingDriverCodec : public compress::GradientCodec {
+ public:
+  explicit FailingDriverCodec(int fail_at) : fail_at_(fail_at) {}
+  std::string Name() const override { return "failing-driver"; }
+  bool IsLossless() const override { return true; }
+  std::unique_ptr<GradientCodec> Fork(uint64_t /*lane*/) const override {
+    return std::make_unique<FailingDriverCodec>(0);
+  }
+
+ protected:
+  common::Status EncodeImpl(const common::SparseGradient& grad,
+                            compress::EncodedGradient* out) override {
+    if (++calls_ == fail_at_) {
+      return common::Status::Internal("driver encode " +
+                                      std::to_string(calls_) + " refused");
+    }
+    return raw_.Encode(grad, out);
+  }
+  common::Status DecodeImpl(const compress::EncodedGradient& in,
+                            common::SparseGradient* out) override {
+    return raw_.Decode(in, out);
+  }
+
+ private:
+  int fail_at_;
+  int calls_ = 0;
+  compress::RawCodec raw_;
+};
+
+TEST(TrainerTest, FailedBroadcastFailsTheEpochWithItsStatus) {
+  // With one server, driver encode n is batch n's broadcast: the first
+  // runs beside batch 2's workers, the tenth after the last batch.
+  Fixture f;
+  ClusterConfig cluster;
+  cluster.num_workers = 4;
+  for (int fail_at : {1, 5, 10}) {
+    for (int threads : {1, 4}) {
+      TrainerConfig config;
+      config.num_threads = threads;
+      DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
+                                 std::make_unique<FailingDriverCodec>(fail_at),
+                                 cluster, config);
+      auto result = trainer.RunEpoch();
+      ASSERT_FALSE(result.ok()) << fail_at << " at " << threads << " threads";
+      EXPECT_EQ(result.status().code(), common::StatusCode::kInternal);
+      EXPECT_EQ(result.status().message(),
+                "driver encode " + std::to_string(fail_at) + " refused");
+    }
+  }
+  // An epoch has ten broadcasts, so the eleventh encode is never reached.
+  DistributedTrainer trainer(f.train.get(), f.test.get(), f.loss.get(),
+                             std::make_unique<FailingDriverCodec>(11),
+                             cluster, TrainerConfig{});
+  EXPECT_TRUE(trainer.RunEpoch().ok());
 }
 
 TEST(EpochStatsTest, AggregateSums) {
