@@ -36,6 +36,18 @@ void BM_KllUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_KllUpdate)->Arg(128)->Arg(256)->Arg(512);
 
+// The block insert the quantizer uses; same sketch state as BM_KllUpdate.
+void BM_KllUpdateAll(benchmark::State& state) {
+  const auto values = RandomValues(1 << 16);
+  for (auto _ : state) {
+    sketch::KllSketch sketch(static_cast<int>(state.range(0)));
+    sketch.UpdateAll(values);
+    benchmark::DoNotOptimize(sketch.Count());
+  }
+  state.SetItemsProcessed(state.iterations() * values.size());
+}
+BENCHMARK(BM_KllUpdateAll)->Arg(128)->Arg(256)->Arg(512);
+
 void BM_KllQuantile(benchmark::State& state) {
   const auto values = RandomValues(1 << 16);
   sketch::KllSketch sketch(256);

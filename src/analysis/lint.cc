@@ -377,7 +377,8 @@ void CheckDiscardedStatus(const StrippedSource& file,
       "ValidateClusterConfig", "ValidateFaultPlan", "ValidateEncodable",
       "ReadU8",      "ReadU16",  "ReadU32",  "ReadU64",  "ReadI32",
       "ReadI64",     "ReadFloat", "ReadDouble", "ReadUintN", "ReadVarint",
-      "ReadRaw",     "RunEpoch", "WriteObsOutputs", "WriteLibSvmFile",
+      "ReadRaw",     "ReadSpan", "RunEpoch", "WriteObsOutputs",
+      "WriteLibSvmFile",        "MergeRuns",
   };
   for (size_t i = 0; i < file.code.size(); ++i) {
     const std::string& line = file.code[i];

@@ -74,25 +74,21 @@ Status ByteReader::ReadRaw(void* out, size_t len) {
   return Status::Ok();
 }
 
+Status ByteReader::ReadSpan(size_t len, const uint8_t** out) {
+  if (len > len_ - pos_) {
+    return Status::CorruptedData("read past end of buffer");
+  }
+  *out = data_ + pos_;
+  pos_ += len;
+  return Status::Ok();
+}
+
 void TwoBitWriter::Append(uint8_t symbol) {
   SKETCHML_CHECK_LE(symbol, 3);
   const size_t bit_offset = (count_ % 4) * 2;
   if (bit_offset == 0) bytes_.push_back(0);
   bytes_.back() |= static_cast<uint8_t>(symbol << bit_offset);
   ++count_;
-}
-
-Status TwoBitReader::Next(uint8_t* out) {
-  if (pos_ >= count_) return Status::CorruptedData("two-bit stream exhausted");
-  const size_t byte_index = pos_ / 4;
-  if (byte_index >= nbytes_) {
-    return Status::CorruptedData("two-bit stream shorter than declared count");
-  }
-  const size_t bit_offset = (pos_ % 4) * 2;
-  *out = (data_[byte_index] >> bit_offset) & 0x3;
-  ++pos_;
-  SKETCHML_DCHECK_LE(pos_, count_);
-  return Status::Ok();
 }
 
 }  // namespace sketchml::common

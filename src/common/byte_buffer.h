@@ -124,6 +124,10 @@ class ByteReader {
 
   Status ReadRaw(void* out, size_t len);
 
+  /// Points `*out` at the next `len` bytes, without copying, and moves
+  /// past them. The pointer is valid as long as the underlying buffer.
+  Status ReadSpan(size_t len, const uint8_t** out);
+
   size_t remaining() const { return len_ - pos_; }
   size_t position() const { return pos_; }
   bool AtEnd() const { return pos_ == len_; }
@@ -151,24 +155,6 @@ class TwoBitWriter {
  private:
   std::vector<uint8_t> bytes_;
   size_t count_ = 0;
-};
-
-/// Reads back 2-bit symbols written by `TwoBitWriter`.
-class TwoBitReader {
- public:
-  TwoBitReader(const uint8_t* data, size_t nbytes, size_t count)
-      : data_(data), nbytes_(nbytes), count_(count) {}
-
-  /// Reads the next symbol; fails with kCorruptedData past the end.
-  Status Next(uint8_t* out);
-
-  size_t remaining() const { return count_ - pos_; }
-
- private:
-  const uint8_t* data_;
-  size_t nbytes_;
-  size_t count_;
-  size_t pos_ = 0;
 };
 
 }  // namespace sketchml::common

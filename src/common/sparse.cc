@@ -5,6 +5,28 @@
 #include "common/logging.h"
 
 namespace sketchml::common {
+namespace {
+
+/// Stable merge of the key-ascending ranges [a, a_end) and [b, b_end)
+/// into `out`. Returns false if the two ranges share a key: with both
+/// strictly ascending, equal keys always meet as the two heads.
+bool MergeTwoRuns(const GradientPair* a, const GradientPair* a_end,
+                  const GradientPair* b, const GradientPair* b_end,
+                  GradientPair* out) {
+  bool shared = false;
+  while (a != a_end && b != b_end) {
+    const bool take_b = b->key < a->key;
+    shared |= b->key == a->key;
+    *out++ = *(take_b ? b : a);
+    a += !take_b;
+    b += take_b;
+  }
+  out = std::copy(a, a_end, out);
+  std::copy(b, b_end, out);
+  return !shared;
+}
+
+}  // namespace
 
 void SumByKey(uint64_t lo, uint64_t span, SparseGradient* pairs) {
   constexpr int kDigitBits = 11;
@@ -52,6 +74,52 @@ void SumByKey(uint64_t lo, uint64_t span, SparseGradient* pairs) {
     in[out++] = {key, sum};
   }
   in.resize(out);
+}
+
+Status MergeRuns(SortedRuns* runs, SparseGradient* out) {
+  SparseGradient& pairs = runs->pairs;
+  std::vector<size_t>& ends = runs->ends;
+  const size_t n = pairs.size();
+  SKETCHML_DCHECK(ends.empty() ? n == 0 : ends.back() == n)
+      << "pairs after the last closed run";
+  // Check every run and drop the empty ones (a group with no keys).
+  size_t kept = 0;
+  size_t begin = 0;
+  for (size_t r = 0; r < ends.size(); ++r) {
+    const size_t end = ends[r];
+    if (end == begin) continue;
+    for (size_t i = begin + 1; i < end; ++i) {
+      if (pairs[i].key <= pairs[i - 1].key) {
+        return Status::CorruptedData("decoded run not strictly ascending");
+      }
+    }
+    ends[kept++] = end;
+    begin = end;
+  }
+  ends.resize(kept);
+
+  out->resize(n);
+  GradientPair* src = pairs.data();
+  GradientPair* dst = out->data();
+  while (ends.size() > 1) {
+    size_t start = 0;
+    size_t merged = 0;
+    for (size_t r = 0; r < ends.size(); r += 2) {
+      const size_t mid = ends[r];
+      const size_t end = r + 1 < ends.size() ? ends[r + 1] : mid;
+      if (!MergeTwoRuns(src + start, src + mid, src + mid, src + end,
+                        dst + start)) {
+        return Status::CorruptedData("duplicate decoded key");
+      }
+      ends[merged++] = end;
+      start = end;
+    }
+    ends.resize(merged);
+    std::swap(src, dst);
+  }
+  // An even number of passes (none, for a single run) ends in `pairs`.
+  if (src != out->data()) std::copy(src, src + n, out->data());
+  return Status::Ok();
 }
 
 }  // namespace sketchml::common

@@ -2,8 +2,11 @@
 #define SKETCHML_COMMON_SPARSE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/status.h"
 
 namespace sketchml::common {
 
@@ -44,6 +47,36 @@ inline void SortByKey(SparseGradient* grad) {
 /// ceil(bit_width(span - 1) / 11) passes; memory is linear in the number
 /// of pairs, independent of `span`.
 void SumByKey(uint64_t lo, uint64_t span, SparseGradient* pairs);
+
+/// Key-ascending runs laid back to back: what a decoder produces, one run
+/// per key block, before they are merged. Owned by the decoder and reused
+/// across messages.
+struct SortedRuns {
+  SparseGradient pairs;
+  std::vector<size_t> ends;  // ends[i] = one past run i's last pair.
+
+  void Clear() {
+    pairs.clear();
+    ends.clear();
+  }
+  /// Closes the run made of the pairs appended since the previous call.
+  void EndRun() { ends.push_back(pairs.size()); }
+};
+
+/// Merges `runs` into `out`, ascending by key: the same result as
+/// concatenating the runs and calling `SortByKey`, for runs that pass the
+/// checks below. Every pair of `runs->pairs` must lie in a closed run.
+///
+/// Bottom-up: each pass merges neighbouring runs pairwise (a branchless
+/// stable merge), ping-ponging between `runs->pairs` and `out`, so R runs
+/// take ceil(log2 R) linear passes and no allocation beyond sizing `out`.
+/// `runs` is scratch: its contents are unspecified afterwards.
+///
+/// Returns CorruptedData if a run is not strictly ascending by key, or
+/// if two runs share a key ("duplicate decoded key"): an encoder emits
+/// each key once, so either means the bytes were not an encoder's. On
+/// error `out` is unspecified.
+Status MergeRuns(SortedRuns* runs, SparseGradient* out);
 
 /// True if keys are strictly increasing (the codec precondition).
 inline bool IsSortedByKey(const SparseGradient& grad) {

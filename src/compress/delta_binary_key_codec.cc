@@ -60,38 +60,60 @@ common::Status DeltaBinaryKeyCodec::Decode(common::ByteReader* reader,
   if (count == 0) return common::Status::Ok();
   // Every key costs at least 1 delta byte *plus* a quarter byte of flag
   // stream; a count that cannot fit in the remaining buffer is
-  // corruption, and checking before reserve() prevents adversarial giant
+  // corruption, and checking before resize() prevents adversarial giant
   // allocations. (The first clause keeps the arithmetic overflow-free.)
   if (count > reader->remaining() ||
       count + common::CeilDiv(count, 4) > reader->remaining()) {
     return common::Status::CorruptedData("implausible key count");
   }
-  keys->reserve(count);
-
   const size_t flag_bytes = common::CeilDiv(count, 4);
-  std::vector<uint8_t> flags(flag_bytes);
-  SKETCHML_RETURN_IF_ERROR(reader->ReadRaw(flags.data(), flag_bytes));
-  common::TwoBitReader flag_reader(flags.data(), flag_bytes, count);
+  const uint8_t* flags = nullptr;
+  SKETCHML_RETURN_IF_ERROR(reader->ReadSpan(flag_bytes, &flags));
 
-  // Two passes over the flag stream would need it buffered anyway, so we
-  // decode flag-then-delta per key in one pass: but the wire layout stores
-  // all flags before all deltas, so read flags first, then deltas.
-  std::vector<uint8_t> widths(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint8_t symbol = 0;
-    SKETCHML_RETURN_IF_ERROR(flag_reader.Next(&symbol));
-    widths[i] = static_cast<uint8_t>(symbol + 1);
-  }
-
-  uint64_t previous = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t delta = 0;
-    SKETCHML_RETURN_IF_ERROR(reader->ReadUintN(widths[i], &delta));
-    if (i > 0 && delta == 0) {
-      return common::Status::CorruptedData("zero delta for non-first key");
+  // Key i's delta takes ((flags[i / 4] >> 2 * (i % 4)) & 3) + 1 bytes, so
+  // the delta region is `count` bytes plus the sum of the symbols. Sum
+  // them a flag byte at a time (two 2-bit fields per nibble, then the two
+  // nibbles). The last byte's padding bits are not symbols: mask them off.
+  size_t delta_bytes = count;
+  for (size_t b = 0; b < flag_bytes; ++b) {
+    unsigned symbols = flags[b];
+    if (b + 1 == flag_bytes && count % 4 != 0) {
+      symbols &= (1u << (2 * (count % 4))) - 1;
     }
+    const unsigned pairs = (symbols & 0x33u) + ((symbols >> 2) & 0x33u);
+    delta_bytes += (pairs & 0x0Fu) + (pairs >> 4);
+  }
+  const uint8_t* deltas = nullptr;
+  SKETCHML_RETURN_IF_ERROR(reader->ReadSpan(delta_bytes, &deltas));
+
+  // One full 8-byte little-endian load per delta, masked to its width,
+  // wherever the load stays inside the region; the last few go byte by
+  // byte.
+  static constexpr uint64_t kWidthMask[4] = {0xFF, 0xFFFF, 0xFFFFFF,
+                                             0xFFFFFFFF};
+  keys->resize(count);
+  uint64_t* out = keys->data();
+  uint64_t previous = 0;
+  bool zero_delta = false;
+  size_t pos = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const unsigned symbol = (flags[i >> 2] >> ((i & 3) * 2)) & 3u;
+    uint64_t delta = 0;
+    if (pos + sizeof(delta) <= delta_bytes) {
+      std::memcpy(&delta, deltas + pos, sizeof(delta));  // Little-endian.
+      delta &= kWidthMask[symbol];
+    } else {
+      for (unsigned b = 0; b <= symbol; ++b) {
+        delta |= static_cast<uint64_t>(deltas[pos + b]) << (8 * b);
+      }
+    }
+    pos += symbol + 1;
+    zero_delta |= i > 0 && delta == 0;
     previous += delta;
-    keys->push_back(previous);
+    out[i] = previous;
+  }
+  if (zero_delta) {
+    return common::Status::CorruptedData("zero delta for non-first key");
   }
   return common::Status::Ok();
 }

@@ -141,9 +141,9 @@ common::Status EncodeStream(const common::SparseGradient& stream, bool negate,
 }
 
 /// Decodes one sign stream and appends its pairs (with `sign` applied)
-/// to `out`.
+/// to `scratch->runs`, one run per group.
 common::Status DecodeStream(common::ByteReader* reader, double sign,
-                            common::SparseGradient* out) {
+                            SketchMlCodec::DecodeScratch* scratch) {
   uint64_t count = 0;
   SKETCHML_RETURN_IF_ERROR(reader->ReadVarint(&count));
   if (count == 0) return common::Status::Ok();
@@ -164,19 +164,19 @@ common::Status DecodeStream(common::ByteReader* reader, double sign,
   }
 
   uint64_t decoded = 0;
-  std::vector<uint64_t> keys;
-  std::vector<int> buckets;
-  std::vector<uint32_t> idx_scratch;
-  std::vector<uint8_t> local_scratch;
+  std::vector<uint64_t>& keys = scratch->keys;
+  std::vector<int>& buckets = scratch->buckets;
+  common::SortedRuns& runs = scratch->runs;
   for (int group = 0; group < mm_sketch.num_groups(); ++group) {
     SKETCHML_RETURN_IF_ERROR(
         compress::DeltaBinaryKeyCodec::Decode(reader, &keys));
     buckets.resize(keys.size());
-    mm_sketch.QueryGroupBatch(group, keys, buckets.data(), &idx_scratch,
-                              &local_scratch);
+    mm_sketch.QueryGroupBatch(group, keys, buckets.data(), &scratch->hash_idx,
+                              &scratch->locals);
     for (size_t i = 0; i < keys.size(); ++i) {
-      out->push_back({keys[i], sign * quantizer.MeanOf(buckets[i])});
+      runs.pairs.push_back({keys[i], sign * quantizer.MeanOf(buckets[i])});
     }
+    runs.EndRun();
     decoded += keys.size();
   }
   if (decoded != count) {
@@ -274,20 +274,18 @@ common::Status SketchMlCodec::DecodeImpl(const compress::EncodedGradient& in,
     return common::Status::CorruptedData("implausible pair count");
   }
 
-  out->clear();
-  out->reserve(total);
-  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, +1.0, out));
-  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, -1.0, out));
-  if (out->size() != total) {
+  common::SortedRuns& runs = decode_scratch_.runs;
+  runs.Clear();
+  runs.pairs.reserve(total);
+  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, +1.0, &decode_scratch_));
+  SKETCHML_RETURN_IF_ERROR(DecodeStream(&reader, -1.0, &decode_scratch_));
+  if (runs.pairs.size() != total) {
     return common::Status::CorruptedData("decoded pair count mismatch");
   }
-  common::SortByKey(out);
   // An encoder emits each key once, in exactly one stream and group; a
-  // key in two runs would be summed twice downstream.
-  if (!common::IsSortedByKey(*out)) {
-    return common::Status::CorruptedData("duplicate decoded key");
-  }
-  return common::Status::Ok();
+  // key in two runs would be summed twice downstream, so MergeRuns
+  // rejects it.
+  return common::MergeRuns(&runs, out);
 }
 
 common::Status KeyOnlyCodec::EncodeImpl(const common::SparseGradient& grad,
@@ -383,7 +381,9 @@ common::Status QuantileOnlyCodec::DecodeImpl(
   if (version != kWireVersion) {
     return common::Status::CorruptedData("unknown wire version");
   }
-  out->clear();
+  common::SortedRuns& runs = decode_scratch_.runs;
+  std::vector<uint64_t>& keys = decode_scratch_.keys;
+  runs.Clear();
   for (int s = 0; s < 2; ++s) {
     const double sign = s == 0 ? 1.0 : -1.0;
     uint64_t count = 0;
@@ -396,28 +396,24 @@ common::Status QuantileOnlyCodec::DecodeImpl(
     SKETCHML_RETURN_IF_ERROR(
         compress::QuantileBucketQuantizer::DeserializeMeans(&reader,
                                                             &quantizer));
-    std::vector<uint64_t> keys;
     SKETCHML_RETURN_IF_ERROR(
         compress::DeltaBinaryKeyCodec::Decode(&reader, &keys));
     if (keys.size() != count) {
       return common::Status::CorruptedData("key count mismatch");
     }
-    for (uint64_t key : keys) {
-      uint8_t bucket = 0;
-      SKETCHML_RETURN_IF_ERROR(reader.ReadU8(&bucket));
-      if (bucket >= quantizer.num_buckets()) {
+    const uint8_t* buckets = nullptr;
+    SKETCHML_RETURN_IF_ERROR(reader.ReadSpan(keys.size(), &buckets));
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (buckets[i] >= quantizer.num_buckets()) {
         return common::Status::CorruptedData("bucket index out of range");
       }
-      out->push_back({key, sign * quantizer.MeanOf(bucket)});
+      runs.pairs.push_back({keys[i], sign * quantizer.MeanOf(buckets[i])});
     }
+    runs.EndRun();
   }
-  common::SortByKey(out);
   // Each key sits in exactly one sign stream; a key in both would be
-  // summed twice downstream.
-  if (!common::IsSortedByKey(*out)) {
-    return common::Status::CorruptedData("duplicate decoded key");
-  }
-  return common::Status::Ok();
+  // summed twice downstream, so MergeRuns rejects it.
+  return common::MergeRuns(&runs, out);
 }
 
 std::unique_ptr<compress::GradientCodec> MakeSketchMlCodec(

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sparse.h"
 #include "compress/codec.h"
 #include "compress/delta_binary_key_codec.h"
 #include "core/sketchml_config.h"
@@ -100,12 +101,24 @@ class SketchMlCodec : public compress::GradientCodec {
     compress::DeltaBinaryKeyCodec::EncodeScratch delta;
   };
 
+  /// Decode-side buffers, reused across messages: the decoded runs (one
+  /// key-ascending run per sign stream and group) that common::MergeRuns
+  /// merges into the output, and one group's staging vectors.
+  struct DecodeScratch {
+    common::SortedRuns runs;
+    std::vector<uint64_t> keys;
+    std::vector<int> buckets;
+    std::vector<uint32_t> hash_idx;
+    std::vector<uint8_t> locals;
+  };
+
  private:
   SketchMlConfig config_;
   SpaceCost last_space_cost_;
   uint64_t encode_calls_ = 0;
   common::ThreadPool* pool_ = nullptr;
   EncodeScratch scratch_;  // Reused across streams and calls.
+  DecodeScratch decode_scratch_;
 };
 
 /// "Adam+Key" ablation stage of Figure 8: delta-binary keys, raw double
@@ -161,6 +174,7 @@ class QuantileOnlyCodec : public compress::GradientCodec {
  private:
   SketchMlConfig config_;
   uint64_t encode_calls_ = 0;
+  SketchMlCodec::DecodeScratch decode_scratch_;  // Uses `runs` and `keys`.
 };
 
 /// Builds the full SketchML codec behind the generic interface.

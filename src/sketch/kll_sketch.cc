@@ -16,6 +16,28 @@ namespace {
 // Per-level capacity decay; 2/3 is the published KLL constant.
 constexpr double kLevelDecay = 2.0 / 3.0;
 constexpr size_t kMinLevelCapacity = 8;
+
+void CountUpdates(size_t n) {
+  static const obs::Counter updates =
+      obs::MetricsRegistry::Global().GetCounter("sketch/kll/updates");
+  updates.Add(static_cast<double>(n));
+}
+
+/// Stable merge of the ascending ranges [a, a_end) and [b, b_end) into
+/// `out`; ties take from `a`. The select is written without a branch on
+/// the comparison, which a merge of random data would mispredict half
+/// the time.
+void MergeAscending(const double* a, const double* a_end, const double* b,
+                    const double* b_end, double* out) {
+  while (a != a_end && b != b_end) {
+    const bool take_b = *b < *a;
+    *out++ = take_b ? *b : *a;
+    a += !take_b;
+    b += take_b;
+  }
+  out = std::copy(a, a_end, out);
+  std::copy(b, b_end, out);
+}
 }  // namespace
 
 KllSketch::KllSketch(int k, uint64_t seed) : k_(k), rng_(seed) {
@@ -47,21 +69,45 @@ void KllSketch::Update(double value) {
     max_ = std::max(max_, value);
   }
   ++count_;
-  if (instrumented_ && obs::MetricsEnabled()) {
-    static const obs::Counter updates =
-        obs::MetricsRegistry::Global().GetCounter("sketch/kll/updates");
-    updates.Increment();
-  }
+  if (instrumented_ && obs::MetricsEnabled()) CountUpdates(1);
   levels_[0].push_back(value);
-  if (levels_[0].size() >= LevelCapacity(0)) {
-    // Compact cascading upward while levels overflow.
-    for (int level = 0; level < static_cast<int>(levels_.size()); ++level) {
-      if (levels_[level].size() >= LevelCapacity(level)) {
-        Compact(level);
-      }
-    }
+  if (levels_[0].size() >= LevelCapacity(0)) CompactFullLevels(0);
+  SKETCHML_DCHECK(InvariantsHold());
+}
+
+void KllSketch::UpdateAll(const std::vector<double>& values) {
+  if (values.empty()) return;
+  if (count_ == 0) min_ = max_ = values[0];
+  for (double v : values) {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+  count_ += values.size();
+  if (instrumented_ && obs::MetricsEnabled()) CountUpdates(values.size());
+  const double* next = values.data();
+  const double* const end = next + values.size();
+  while (next != end) {
+    // Fill level 0 exactly up to the item at which Update would compact.
+    // (A level 0 already at capacity, as Deserialize can leave it, takes
+    // one item and compacts, as Update does.) Compaction can add a level
+    // and so move every level vector: take the reference afresh.
+    std::vector<double>& level0 = levels_[0];
+    const size_t capacity = LevelCapacity(0);
+    const size_t room =
+        level0.size() < capacity ? capacity - level0.size() : 1;
+    const size_t take = std::min(room, static_cast<size_t>(end - next));
+    level0.insert(level0.end(), next, next + take);
+    next += take;
+    if (level0.size() >= capacity) CompactFullLevels(0);
   }
   SKETCHML_DCHECK(InvariantsHold());
+}
+
+void KllSketch::CompactFullLevels(int level) {
+  // Re-reads the level count: a compaction at the top adds a level.
+  for (; level < static_cast<int>(levels_.size()); ++level) {
+    if (levels_[level].size() >= LevelCapacity(level)) Compact(level);
+  }
 }
 
 bool KllSketch::InvariantsHold() const {
@@ -88,9 +134,17 @@ void KllSketch::Compact(int level) {
   }
   auto& buf = levels_[level];
   auto& next = levels_[level + 1];
-  std::sort(buf.begin(), buf.end());
-  // Random phase: keep either the even- or odd-indexed half.
-  const size_t phase = rng_.NextBounded(2);
+  // Level 0 fills in stream order; above it a level holds a few sorted
+  // runs.
+  if (level == 0) {
+    std::sort(buf.begin(), buf.end());
+  } else {
+    SortByRuns(&buf);
+  }
+  // Random phase: keep either the even- or odd-indexed half. This is the
+  // coin NextBounded(2) draws (2 divides 2^64, so it rejects no draw and
+  // returns the low bit) without its two 64-bit divisions.
+  const size_t phase = rng_.NextUint64() & 1;
   // If the buffer has odd size, one item stays behind at this level so
   // total weight is conserved. Shrink in place rather than swapping in a
   // fresh vector: this runs every few inserts at level 0, and keeping the
@@ -103,6 +157,47 @@ void KllSketch::Compact(int level) {
   }
   if (odd) buf[0] = buf[n];
   buf.resize(odd ? 1 : 0);
+}
+
+void KllSketch::SortByRuns(std::vector<double>* buf) {
+  const std::vector<double>& items = *buf;
+  const size_t n = items.size();
+  run_ends_.clear();
+  bool unordered = false;  // Holds a zero or a NaN.
+  for (size_t i = 0; i < n; ++i) {
+    unordered |= !(items[i] < 0.0 || items[i] > 0.0);
+    if (i > 0 && items[i] < items[i - 1]) run_ends_.push_back(i);
+  }
+  if (unordered) {
+    // `<` cannot order +0.0 against -0.0, nor anything against NaN, and
+    // std::sort leaves such items in an order of its own. Sort the level
+    // as the level-0 path does, so the retained bytes stay the same.
+    std::sort(buf->begin(), buf->end());
+    return;
+  }
+  if (run_ends_.empty()) return;  // One run: already sorted.
+  run_ends_.push_back(n);
+  // Bottom-up: each pass merges neighbouring runs pairwise, ping-ponging
+  // between the level and the scratch buffer.
+  merge_scratch_.resize(n);
+  double* src = buf->data();
+  double* dst = merge_scratch_.data();
+  while (run_ends_.size() > 1) {
+    size_t begin = 0;
+    size_t merged = 0;
+    for (size_t r = 0; r < run_ends_.size(); r += 2) {
+      const size_t mid = run_ends_[r];
+      const size_t end = r + 1 < run_ends_.size() ? run_ends_[r + 1] : mid;
+      MergeAscending(src + begin, src + mid, src + mid, src + end,
+                     dst + begin);
+      run_ends_[merged++] = end;
+      begin = end;
+    }
+    run_ends_.resize(merged);
+    std::swap(src, dst);
+  }
+  if (src != buf->data()) buf->swap(merge_scratch_);
+  merge_scratch_.clear();  // Keep the capacity; copies stay cheap.
 }
 
 std::vector<std::pair<double, uint64_t>> KllSketch::SortedItems() const {
@@ -217,10 +312,7 @@ void KllSketch::Merge(const KllSketch& other) {
     const auto& src = other.levels_[level];
     dst.insert(dst.end(), src.begin(), src.end());
   }
-  // Restore capacity invariants.
-  for (int level = 0; level < static_cast<int>(levels_.size()); ++level) {
-    if (levels_[level].size() >= LevelCapacity(level)) Compact(level);
-  }
+  CompactFullLevels(0);  // Restore capacity invariants.
   if (instrumented) {
     auto& registry = obs::MetricsRegistry::Global();
     static const obs::Counter merges = registry.GetCounter("sketch/kll/merges");
@@ -255,10 +347,7 @@ void KllSketch::UpdateWeighted(double value, uint64_t weight) {
   }
   levels_[target].push_back(value);
   if (levels_[target].size() >= LevelCapacity(target)) {
-    for (int level = target; level < static_cast<int>(levels_.size());
-         ++level) {
-      if (levels_[level].size() >= LevelCapacity(level)) Compact(level);
-    }
+    CompactFullLevels(target);
   }
   SKETCHML_DCHECK(InvariantsHold());
 }

@@ -31,6 +31,13 @@ class KllSketch : public QuantileSketch {
   explicit KllSketch(int k = 256, uint64_t seed = 1);
 
   void Update(double value) override;
+
+  /// Appends level-0 fills in blocks: each block runs up to the point
+  /// where `Update` would compact, so every compaction fires at the same
+  /// item and draws the same coin as an `Update` loop, and the state
+  /// (Serialize bytes and RNG) is identical. Sits on the encode hot path
+  /// via QuantileBucketQuantizer::Build.
+  void UpdateAll(const std::vector<double>& values) override;
   uint64_t Count() const override { return count_; }
   double Quantile(double q) const override;
   double Min() const override;
@@ -119,8 +126,20 @@ class KllSketch : public QuantileSketch {
   /// Recomputes `capacities_` for the current level count.
   void RefreshCapacities();
 
+  /// Compacts, from `level` upward, every level that is at capacity.
+  void CompactFullLevels(int level);
+
   /// Sorts and compacts `level`, promoting half its items.
   void Compact(int level);
+
+  /// Sorts `buf` ascending by merging its natural ascending runs, stably,
+  /// through `merge_scratch_`. Above level 0 a level is a concatenation of
+  /// a few sorted halves pushed up from below, so this is a couple of
+  /// linear passes; it still sorts any input (Merge and UpdateWeighted
+  /// feed levels in arbitrary order). A level holding a zero or a NaN
+  /// goes to std::sort instead, whose order for items `<` cannot tell
+  /// apart the bytes depend on.
+  void SortByRuns(std::vector<double>* buf);
 
   /// Gathers all retained (value, weight) pairs sorted by value.
   std::vector<std::pair<double, uint64_t>> SortedItems() const;
@@ -134,6 +153,9 @@ class KllSketch : public QuantileSketch {
   // levels_[i] holds items of weight 2^i; level 0 is unsorted.
   std::vector<std::vector<double>> levels_;
   std::vector<size_t> capacities_;  // capacities_[i] = capacity of level i.
+  // Reused by SortByRuns; holds no state between calls.
+  std::vector<double> merge_scratch_;
+  std::vector<size_t> run_ends_;
 };
 
 }  // namespace sketchml::sketch

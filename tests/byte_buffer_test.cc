@@ -79,6 +79,23 @@ TEST(ByteReaderTest, ReadPastEndFails) {
   EXPECT_FALSE(r.ReadU32(&v32).ok());
 }
 
+TEST(ByteReaderTest, ReadSpanPointsIntoTheBufferAndAdvances) {
+  const std::vector<uint8_t> buf = {1, 2, 3, 4, 5};
+  ByteReader r(buf);
+  uint8_t first = 0;
+  ASSERT_TRUE(r.ReadU8(&first).ok());
+  const uint8_t* span = nullptr;
+  ASSERT_TRUE(r.ReadSpan(3, &span).ok());
+  EXPECT_EQ(span, buf.data() + 1);
+  EXPECT_EQ(r.position(), 4u);
+  ASSERT_TRUE(r.ReadSpan(0, &span).ok());
+  EXPECT_EQ(r.ReadSpan(2, &span).code(), StatusCode::kCorruptedData);
+  // A length that would wrap the cursor is rejected, not wrapped.
+  EXPECT_EQ(r.ReadSpan(~size_t{0}, &span).code(),
+            StatusCode::kCorruptedData);
+  EXPECT_EQ(r.position(), 4u);
+}
+
 TEST(ByteReaderTest, ReadUintNRejectsBadWidth) {
   std::vector<uint8_t> buf(16, 0);
   ByteReader r(buf.data(), buf.size());
@@ -190,23 +207,18 @@ TEST(TwoBitStreamTest, RoundTripsAllSymbols) {
   EXPECT_EQ(w.size(), symbols.size());
   EXPECT_EQ(w.bytes().size(), 3u);  // ceil(9 / 4).
 
-  TwoBitReader r(w.bytes().data(), w.bytes().size(), w.size());
-  for (uint8_t expected : symbols) {
-    uint8_t got = 0;
-    ASSERT_TRUE(r.Next(&got).ok());
-    EXPECT_EQ(got, expected);
+  // Packed LSB-first, four symbols per byte, as DeltaBinaryKeyCodec
+  // reads its flag stream.
+  for (size_t i = 0; i < symbols.size(); ++i) {
+    EXPECT_EQ((w.bytes()[i / 4] >> (2 * (i % 4))) & 3, symbols[i]) << i;
   }
-  uint8_t extra;
-  EXPECT_FALSE(r.Next(&extra).ok());
+  EXPECT_EQ(w.bytes()[2] >> 2, 0);  // Padding stays zero.
 }
 
 TEST(TwoBitStreamTest, EmptyStream) {
   TwoBitWriter w;
   EXPECT_EQ(w.size(), 0u);
   EXPECT_TRUE(w.bytes().empty());
-  TwoBitReader r(nullptr, 0, 0);
-  uint8_t v;
-  EXPECT_FALSE(r.Next(&v).ok());
 }
 
 }  // namespace

@@ -144,6 +144,35 @@ TEST(DeltaBinaryKeyCodecTest, DecodeRejectsCountThatOnlyFitsWithoutFlags) {
   EXPECT_EQ(decoded, expected);
 }
 
+TEST(DeltaBinaryKeyCodecTest, PaddingBitsOfTheLastFlagByteAreIgnored) {
+  // 5 keys of widths 1, 2, 3, 4, 1: flag bytes 0b11100100 and 0b000000xx.
+  const std::vector<uint64_t> keys = {7, 7 + 300, 7 + 300 + 70000,
+                                      7 + 300 + 70000 + 20000000,
+                                      7 + 300 + 70000 + 20000000 + 9};
+  common::ByteWriter writer;
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Encode(keys, &writer).ok());
+  std::vector<uint8_t> bytes = writer.buffer();
+  ASSERT_EQ(bytes[1], 0xE4);  // After the one-byte varint count.
+  ASSERT_EQ(bytes[2], 0x00);
+  bytes[2] = 0xFC;  // Set the three padding symbols to "4 bytes".
+  common::ByteReader reader(bytes);
+  std::vector<uint64_t> decoded;
+  ASSERT_TRUE(DeltaBinaryKeyCodec::Decode(&reader, &decoded).ok());
+  EXPECT_EQ(decoded, keys);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(DeltaBinaryKeyCodecTest, DecodeRejectsZeroDeltaAfterTheFirstKey) {
+  common::ByteWriter writer;
+  writer.WriteVarint(3);
+  writer.WriteU8(0x00);  // Three 1-byte deltas.
+  for (uint8_t delta : {0, 4, 0}) writer.WriteU8(delta);
+  common::ByteReader reader(writer.buffer());
+  std::vector<uint64_t> decoded;
+  EXPECT_EQ(DeltaBinaryKeyCodec::Decode(&reader, &decoded).code(),
+            common::StatusCode::kCorruptedData);
+}
+
 class DeltaKeyDensityTest
     : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/byte_buffer.h"
@@ -228,6 +229,123 @@ TEST(KllSketchTest, UpdateWeightedRequiresPowerOfTwo) {
   EXPECT_EQ(sketch.Count(), 9u);
   EXPECT_DEATH(sketch.UpdateWeighted(3.0, 3), "");
   EXPECT_DEATH(sketch.UpdateWeighted(3.0, 0), "");
+}
+
+std::vector<uint8_t> SerializedBytes(const KllSketch& sketch) {
+  common::ByteWriter writer(sketch.SerializedSize());
+  sketch.Serialize(&writer);
+  return writer.buffer();
+}
+
+enum class Stream { kGaussian, kDuplicates, kSignedZeros };
+
+/// `n` values of the given shape: gradient-like Gaussians, a handful of
+/// distinct values repeated many times, or Gaussians with +0.0 and -0.0
+/// interleaved (the only doubles `<` calls equal but that serialize
+/// differently).
+std::vector<double> MakeStream(Stream shape, size_t n, uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<double> values(n);
+  for (double& v : values) {
+    switch (shape) {
+      case Stream::kGaussian:
+        v = rng.NextGaussian();
+        break;
+      case Stream::kDuplicates:
+        v = static_cast<double>(rng.NextBounded(7)) * 0.25;
+        break;
+      case Stream::kSignedZeros: {
+        const uint64_t pick = rng.NextBounded(4);
+        v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.NextGaussian();
+        break;
+      }
+    }
+  }
+  return values;
+}
+
+// UpdateAll appends level-0 fills in blocks; every compaction must still
+// fire at the same item and draw the same coin as an Update loop. The tail
+// of per-element updates after the block call would diverge if the
+// compaction RNG had drawn a different number of coins.
+TEST(KllSketchTest, UpdateAllMatchesPerElementUpdateByteForByte) {
+  for (int k : {8, 128, 256}) {
+    const size_t level0 = static_cast<size_t>(k);  // Fresh sketch: one level.
+    for (size_t n : {size_t{0}, size_t{1}, level0 - 1, level0, level0 + 1,
+                     size_t{4300}, size_t{100000}}) {
+      for (Stream shape :
+           {Stream::kGaussian, Stream::kDuplicates, Stream::kSignedZeros}) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+          const std::vector<double> values =
+              MakeStream(shape, n, seed * 1000 + n);
+          const std::vector<double> tail =
+              MakeStream(shape, 3 * level0 + 5, seed);
+          KllSketch block(k, seed);
+          KllSketch single(k, seed);
+          block.UpdateAll(values);
+          for (double v : values) single.Update(v);
+          ASSERT_EQ(SerializedBytes(block), SerializedBytes(single))
+              << "k=" << k << " n=" << n << " seed=" << seed;
+          for (double v : tail) {
+            block.Update(v);
+            single.Update(v);
+          }
+          ASSERT_EQ(SerializedBytes(block), SerializedBytes(single))
+              << "tail, k=" << k << " n=" << n << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+// Several block calls on a sketch that is already partly full land on
+// the same state as one Update loop over their concatenation.
+TEST(KllSketchTest, UpdateAllInChunksMatchesOneUpdateLoop) {
+  const std::vector<double> values = MakeStream(Stream::kGaussian, 5000, 71);
+  KllSketch chunked(128, 5);
+  KllSketch single(128, 5);
+  size_t begin = 0;
+  for (size_t len : {size_t{0}, size_t{1}, size_t{127}, size_t{300},
+                     size_t{2000}, size_t{5000}}) {
+    const size_t end = std::min(values.size(), begin + len);
+    chunked.UpdateAll(std::vector<double>(values.begin() + begin,
+                                          values.begin() + end));
+    begin = end;
+  }
+  chunked.UpdateAll(
+      std::vector<double>(values.begin() + begin, values.end()));
+  for (double v : values) single.Update(v);
+  EXPECT_EQ(SerializedBytes(chunked), SerializedBytes(single));
+}
+
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (uint8_t b : bytes) hash = (hash ^ b) * 1099511628211ULL;
+  return hash;
+}
+
+// Pins the retained items after a block build, a merge (levels that are
+// concatenations of two sketches' runs), weighted inserts (levels fed one
+// unsorted item at a time) and a stream holding both zeros, so any change
+// to how a level is sorted before compaction, or to when compactions
+// fire, shows here.
+TEST(KllSketchTest, BuildMergeWeightedDigestIsPinned) {
+  KllSketch sketch(128, /*seed=*/7);
+  sketch.UpdateAll(MakeStream(Stream::kGaussian, 4300, 11));
+  KllSketch other(128, /*seed=*/8);
+  other.UpdateAll(MakeStream(Stream::kDuplicates, 9000, 12));
+  sketch.Merge(other);
+  common::Rng rng(13);
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t weight = uint64_t{1} << rng.NextBounded(4);
+    sketch.UpdateWeighted(rng.NextGaussian(), weight);
+  }
+  sketch.UpdateAll(MakeStream(Stream::kGaussian, 1000, 14));
+  EXPECT_EQ(Fnv1a(SerializedBytes(sketch)), 0xfd7cc807803d4c3bULL);
+
+  KllSketch zeros(128, /*seed=*/9);
+  zeros.UpdateAll(MakeStream(Stream::kSignedZeros, 20000, 15));
+  EXPECT_EQ(Fnv1a(SerializedBytes(zeros)), 0xd2d4f2cb0f5d6188ULL);
 }
 
 TEST(KllSketchTest, NormalizedRankErrorShrinksWithK) {

@@ -6,10 +6,14 @@
 #include <set>
 #include <vector>
 
+#include "common/byte_buffer.h"
 #include "common/random.h"
 #include "common/sparse.h"
+#include "compress/delta_binary_key_codec.h"
+#include "compress/quantile_bucket_quantizer.h"
 #include "compress/raw_codec.h"
 #include "core/sketchml_config.h"
+#include "sketch/grouped_min_max_sketch.h"
 
 namespace sketchml::core {
 namespace {
@@ -437,6 +441,103 @@ TEST(QuantileOnlyCodecTest, ValidBoundaryBucketCountStillRoundTrips) {
   ASSERT_EQ(decoded.size(), grad.size());
   for (size_t i = 0; i < grad.size(); ++i) {
     EXPECT_EQ(decoded[i].key, grad[i].key);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential decode: each decoder must return exactly what concatenating
+// its key-ascending runs (one per sign stream and group) and sorting them
+// by key returns. The references below read the wire format through the
+// component APIs, one key at a time.
+
+common::SparseGradient ReferenceSketchMlDecode(
+    const compress::EncodedGradient& msg) {
+  common::ByteReader reader(msg.bytes);
+  uint8_t version = 0;
+  uint64_t total = 0;
+  EXPECT_TRUE(reader.ReadU8(&version).ok());
+  EXPECT_TRUE(reader.ReadVarint(&total).ok());
+  common::SparseGradient runs;
+  for (double sign : {+1.0, -1.0}) {
+    uint64_t count = 0;
+    EXPECT_TRUE(reader.ReadVarint(&count).ok());
+    if (count == 0) continue;
+    compress::QuantileBucketQuantizer quantizer({0.0, 0.0});
+    EXPECT_TRUE(compress::QuantileBucketQuantizer::DeserializeMeans(
+                    &reader, &quantizer)
+                    .ok());
+    sketch::GroupedMinMaxSketch mm_sketch(1, 1, 1, 1);
+    EXPECT_TRUE(
+        sketch::GroupedMinMaxSketch::Deserialize(&reader, &mm_sketch).ok());
+    for (int group = 0; group < mm_sketch.num_groups(); ++group) {
+      std::vector<uint64_t> keys;
+      EXPECT_TRUE(compress::DeltaBinaryKeyCodec::Decode(&reader, &keys).ok());
+      for (uint64_t key : keys) {
+        runs.push_back(
+            {key, sign * quantizer.MeanOf(mm_sketch.Query(key, group))});
+      }
+    }
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(runs.size(), total);
+  common::SortByKey(&runs);
+  return runs;
+}
+
+common::SparseGradient ReferenceQuantileOnlyDecode(
+    const compress::EncodedGradient& msg) {
+  common::ByteReader reader(msg.bytes);
+  uint8_t version = 0;
+  EXPECT_TRUE(reader.ReadU8(&version).ok());
+  common::SparseGradient runs;
+  for (double sign : {+1.0, -1.0}) {
+    uint64_t count = 0;
+    EXPECT_TRUE(reader.ReadVarint(&count).ok());
+    if (count == 0) continue;
+    compress::QuantileBucketQuantizer quantizer({0.0, 0.0});
+    EXPECT_TRUE(compress::QuantileBucketQuantizer::DeserializeMeans(
+                    &reader, &quantizer)
+                    .ok());
+    std::vector<uint64_t> keys;
+    EXPECT_TRUE(compress::DeltaBinaryKeyCodec::Decode(&reader, &keys).ok());
+    for (uint64_t key : keys) {
+      uint8_t bucket = 0;
+      EXPECT_TRUE(reader.ReadU8(&bucket).ok());
+      runs.push_back({key, sign * quantizer.MeanOf(bucket)});
+    }
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  common::SortByKey(&runs);
+  return runs;
+}
+
+TEST(DecodeDifferentialTest, DecodersEqualSortedConcatenationOfRuns) {
+  for (int groups : {1, 8, 16}) {
+    for (bool separate_signs : {true, false}) {
+      SketchMlConfig config;
+      config.num_groups = groups;
+      config.separate_signs = separate_signs;
+      SketchMlCodec sketchml(config);
+      QuantileOnlyCodec quantile_only(config);
+      for (size_t size : {size_t{1}, size_t{37}, size_t{4300},
+                          size_t{20000}}) {
+        for (uint64_t seed : {3u, 4u}) {
+          const auto grad =
+              MakeGradient(size, 1 << 24, seed * 7919 + size, 0.2);
+          compress::EncodedGradient msg;
+          common::SparseGradient decoded;
+          ASSERT_TRUE(sketchml.Encode(grad, &msg).ok());
+          ASSERT_TRUE(sketchml.Decode(msg, &decoded).ok());
+          ASSERT_EQ(decoded, ReferenceSketchMlDecode(msg))
+              << "sketchml groups=" << groups
+              << " separate_signs=" << separate_signs << " size=" << size;
+          ASSERT_TRUE(quantile_only.Encode(grad, &msg).ok());
+          ASSERT_TRUE(quantile_only.Decode(msg, &decoded).ok());
+          ASSERT_EQ(decoded, ReferenceQuantileOnlyDecode(msg))
+              << "quantile-only groups=" << groups << " size=" << size;
+        }
+      }
+    }
   }
 }
 

@@ -159,6 +159,115 @@ TEST(SumByKeyTest, NanAndInfinityPropagate) {
   EXPECT_EQ(got[5].value, -inf);
 }
 
+// ---------------------------------------------------------------------------
+// MergeRuns: the decoders' run merge.
+
+SortedRuns MakeRuns(const std::vector<SparseGradient>& runs) {
+  SortedRuns out;
+  for (const SparseGradient& run : runs) {
+    out.pairs.insert(out.pairs.end(), run.begin(), run.end());
+    out.EndRun();
+  }
+  return out;
+}
+
+SparseGradient Concatenated(const std::vector<SparseGradient>& runs) {
+  SparseGradient all;
+  for (const SparseGradient& run : runs) {
+    all.insert(all.end(), run.begin(), run.end());
+  }
+  return all;
+}
+
+TEST(MergeRunsTest, NoRunsGiveAnEmptyGradient) {
+  SortedRuns runs;
+  SparseGradient out = {{7, 1.0}};
+  ASSERT_TRUE(MergeRuns(&runs, &out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(MergeRunsTest, OneRunIsCopiedAsIs) {
+  const std::vector<SparseGradient> input = {{{1, 0.5}, {4, -1.0}, {9, 2.0}}};
+  SortedRuns runs = MakeRuns(input);
+  SparseGradient out;
+  ASSERT_TRUE(MergeRuns(&runs, &out).ok());
+  EXPECT_EQ(out, input[0]);
+}
+
+TEST(MergeRunsTest, OddRunCountAndEmptyRunsMerge) {
+  const std::vector<SparseGradient> input = {
+      {{2, 0.2}, {8, 0.8}},
+      {},
+      {{1, 0.1}, {5, 0.5}, {13, 1.3}},
+      {},
+      {{3, 0.3}},
+      {},
+      {{0, 0.0}, {21, 2.1}},
+  };
+  SortedRuns runs = MakeRuns(input);
+  SparseGradient out;
+  ASSERT_TRUE(MergeRuns(&runs, &out).ok());
+  SparseGradient expected = Concatenated(input);
+  SortByKey(&expected);
+  EXPECT_EQ(out, expected);
+}
+
+TEST(MergeRunsTest, OnlyEmptyRuns) {
+  SortedRuns runs = MakeRuns({{}, {}, {}});
+  SparseGradient out;
+  ASSERT_TRUE(MergeRuns(&runs, &out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(MergeRunsTest, RandomRunCountsMatchSortByKey) {
+  Rng rng(97);
+  for (int num_runs = 1; num_runs <= 40; ++num_runs) {
+    // Distinct keys dealt to runs at random, each run left ascending.
+    std::vector<SparseGradient> input(num_runs);
+    const uint64_t num_keys = rng.NextBounded(400);
+    for (uint64_t key = 0; key < num_keys; ++key) {
+      input[rng.NextBounded(num_runs)].push_back(
+          {key * 3 + rng.NextBounded(3), rng.NextGaussian()});
+    }
+    SortedRuns runs = MakeRuns(input);
+    SparseGradient out;
+    ASSERT_TRUE(MergeRuns(&runs, &out).ok()) << num_runs;
+    SparseGradient expected = Concatenated(input);
+    SortByKey(&expected);
+    ASSERT_EQ(out, expected) << num_runs << " runs";
+  }
+}
+
+TEST(MergeRunsTest, KeySharedByTwoRunsIsCorruption) {
+  // Two runs and an odd run count, so the shared key meets its twin in
+  // the first pass in one case and in a later pass in the other.
+  for (const auto& input : std::vector<std::vector<SparseGradient>>{
+           {{{1, 0.1}, {5, 0.5}}, {{2, 0.2}, {5, -0.5}}},
+           {{{1, 0.1}, {4, 0.4}}, {{2, 0.2}}, {{3, 0.3}, {4, -0.4}}},
+       }) {
+    SortedRuns runs = MakeRuns(input);
+    SparseGradient out;
+    const Status status = MergeRuns(&runs, &out);
+    EXPECT_EQ(status.code(), StatusCode::kCorruptedData);
+    EXPECT_EQ(status.message(), "duplicate decoded key");
+  }
+}
+
+TEST(MergeRunsTest, RunThatIsNotStrictlyAscendingIsCorruption) {
+  for (const auto& input : std::vector<std::vector<SparseGradient>>{
+           {{{1, 0.1}, {6, 0.6}}, {{7, 0.7}, {3, 0.3}}},  // Descends.
+           {{{4, 0.4}, {4, 0.5}}},                        // Repeats.
+       }) {
+    SortedRuns runs = MakeRuns(input);
+    SparseGradient out;
+    const Status status = MergeRuns(&runs, &out);
+    EXPECT_EQ(status.code(), StatusCode::kCorruptedData);
+    EXPECT_NE(status.message().find("not strictly ascending"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(SparseGradientTest, IsSortedByKey) {
   EXPECT_TRUE(IsSortedByKey({}));
   EXPECT_TRUE(IsSortedByKey({{1, 0.0}}));

@@ -263,8 +263,12 @@ TEST(TraceContextTest, ConcurrentWraparoundCountsDropsPerThread) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        TraceSpan span("test",
-                       "t" + std::to_string(t) + "_" + std::to_string(i));
+        // Built with += : gcc 12's -Wrestrict misfires on "lit" + string.
+        std::string name = "t";
+        name += std::to_string(t);
+        name += '_';
+        name += std::to_string(i);
+        TraceSpan span("test", name);
       }
     });
   }

@@ -205,7 +205,10 @@ TEST(TraceSpanTest, RingWraparoundKeepsNewestAndCountsDropped) {
   // so wrap on a fresh thread.
   std::thread worker([] {
     for (int i = 0; i < 40; ++i) {
-      TraceSpan span("test", "w" + std::to_string(i));
+      // Built with += : gcc 12's -Wrestrict misfires on "lit" + string.
+      std::string name = "w";
+      name += std::to_string(i);
+      TraceSpan span("test", name);
     }
   });
   worker.join();
